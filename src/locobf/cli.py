@@ -73,6 +73,13 @@ def _nonneg_int(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _float_pair(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -93,11 +100,29 @@ def _personalize(domain, eps_range, seed):
     return assign_personal_eps(domain, low, high, [int(seed), _PURPOSE_PERSONAL_EPS])
 
 
+def _walk(domain, params, order, walks):
+    """The best curve walk, looked up in (and added to) `walks` when given.
+
+    `walks` maps params to the walk partition, or to the infeasibility
+    it raised, which is raised again on every lookup.
+    """
+    if walks is None:
+        return best_hilbert_partition(domain, params, order=order)
+    if params not in walks:
+        try:
+            walks[params] = best_hilbert_partition(domain, params, order=order)
+        except InfeasibleParamsError as exc:
+            walks[params] = exc
+    if isinstance(walks[params], InfeasibleParamsError):
+        raise walks[params]
+    return walks[params]
+
+
 def _partition_for(domain, algorithm, params, seed, order=None, qk_config=None,
-                   eps_range=_DEFAULT_EPS_RANGE):
+                   eps_range=_DEFAULT_EPS_RANGE, walks=None):
     """Partition (or baseline matrix inputs) for one algorithm choice."""
     if algorithm == "hilbert":
-        return best_hilbert_partition(domain, params, order=order), domain
+        return _walk(domain, params, order, walks), domain
     config = qk_config or QkConfig(seed=seed)
     if algorithm == "qk":
         return qk_partition(domain, params, config), domain
@@ -108,15 +133,16 @@ def _partition_for(domain, algorithm, params, seed, order=None, qk_config=None,
 
 
 def _matrix_for(domain, algorithm, params, seed, order=None, qk_config=None,
-                eps_range=_DEFAULT_EPS_RANGE):
+                eps_range=_DEFAULT_EPS_RANGE, walks=None):
     """Matrix plus descriptive extras for any algorithm, baseline included."""
     if algorithm == "em-baseline":
-        base, _ = _partition_for(domain, "hilbert", params, seed, order)
+        base = _walk(domain, params, order, walks)
         d_max = max(p.diam for p in base.plss)
         return build_matrix_constant(domain, d_max, params.eps), domain, {
             "avg_diam": d_max, "num_pls": 1,
         }
-    part, dom = _partition_for(domain, algorithm, params, seed, order, qk_config, eps_range)
+    part, dom = _partition_for(domain, algorithm, params, seed, order, qk_config, eps_range,
+                               walks)
     return build_matrix(dom, part), dom, {
         "avg_diam": weighted_avg_diameter(dom, part.plss),
         "num_pls": part.k,
@@ -206,6 +232,11 @@ class SweepConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
+        # checked up front: cells that share a result never build their own params
+        if not all(eps > 0 for eps in self.eps_values):
+            raise ValueError("eps_values must be > 0")
+        if not all(em >= 0 for em in self.em_values):
+            raise ValueError("em_values must be >= 0")
 
 
 def parse_sweep_config(source):
@@ -269,11 +300,14 @@ def _resolve_domain(dataset, seed):
     return load_domain(dataset)
 
 
-def _run_cell(domain, algorithm, eps, em, seed):
-    """Metric dict for one sweep cell, or None when the cell is infeasible."""
+def _run_cell(domain, algorithm, eps, em, seed, walks=None):
+    """Metric dict for one sweep cell, or None when the cell is infeasible.
+
+    `walks` shares curve walks between cells, as in _walk.
+    """
     params = PrivacyParams(eps, em)
     try:
-        matrix, dom, extras = _matrix_for(domain, algorithm, params, seed)
+        matrix, dom, extras = _matrix_for(domain, algorithm, params, seed, walks=walks)
     except InfeasibleParamsError:
         return None
     report = compute_metrics(dom, matrix)
@@ -305,19 +339,30 @@ def aggregate_cells(cells):
 
 
 def run_sweep(config, output_dir=None):
-    """Run every (algorithm, eps, em, seed) cell and write the result CSVs."""
+    """Run every (algorithm, eps, em, seed) cell and write the result CSVs.
+
+    Cells that must give the same result are computed once: hilbert and
+    em-baseline cells of one seed share their curve walk, and
+    qk-personalized cells that differ only in eps share everything,
+    because per-location budgets replace eps there.
+    """
     out_dir = Path(output_dir or config.output_dir)
     cells = []
     for seed in config.seeds:
         base = _resolve_domain(config.dataset, seed)
+        walks = {}
         for algorithm in config.algorithms:
             domain = base
-            if algorithm == "qk-personalized":
+            personalized = algorithm == "qk-personalized"
+            if personalized:
                 domain = _personalize(base, _DEFAULT_EPS_RANGE, seed)
+            done = {}
             for eps in config.eps_values:
                 for em in config.em_values:
-                    values = _run_cell(domain, algorithm, eps, em, seed)
-                    cells.append((algorithm, eps, em, seed, values))
+                    key = em if personalized else (eps, em)
+                    if key not in done:
+                        done[key] = _run_cell(domain, algorithm, eps, em, seed, walks)
+                    cells.append((algorithm, eps, em, seed, done[key]))
     long_rows, tables = aggregate_cells(cells)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", newline="") as fh:
@@ -419,8 +464,8 @@ def build_parser():
     p.add_argument("--em", type=float, required=True)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--order", type=int, default=None, help="Hilbert grid order override")
-    p.add_argument("--max-samp", type=int, default=10, dest="max_samp")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--max-samp", type=_positive_int, default=10, dest="max_samp")
+    p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range",
                    help="budgets drawn for qk-personalized when the dataset has none")

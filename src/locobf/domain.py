@@ -165,13 +165,25 @@ def diameter(domain, members):
         raise ValueError("diameter of an empty set is undefined")
     if idx.size == 1:
         return 0.0
-    return float(domain.distances[np.ix_(idx, idx)].max())
+    return float(domain.distances[idx[:, None], idx].max())
 
 
 def prior_mass(domain, members):
     """Total prior mass of the member set; empty sets have mass 0.0."""
     idx = _member_indices(domain, members)
     return float(domain.priors[idx].sum()) if idx.size else 0.0
+
+
+def _floor_or_none(domain, members):
+    # error floor of a non-empty set, or None when its prior mass is zero
+    idx = _member_indices(domain, members)
+    if idx.size == 0:
+        raise ValueError("member set must be non-empty")
+    weights = domain.priors[idx]
+    mass = weights.sum()
+    if not mass > 0:
+        return None
+    return float((domain.distances[:, idx] @ weights).min() / mass)
 
 
 def min_mean_distance(domain, members):
@@ -181,14 +193,10 @@ def min_mean_distance(domain, members):
     best expected estimation error an adversary can achieve against a
     uniform report from the set. A singleton's floor is exactly 0.
     """
-    idx = _member_indices(domain, members)
-    if idx.size == 0:
-        raise ValueError("member set must be non-empty")
-    weights = domain.priors[idx]
-    mass = weights.sum()
-    if not mass > 0:
+    floor = _floor_or_none(domain, members)
+    if floor is None:
         raise ValueError("member set has zero prior mass")
-    return float((domain.distances[:, idx] @ weights).min() / mass)
+    return floor
 
 
 def min_mean_distance_within(domain, members):
@@ -213,12 +221,14 @@ def satisfies_error_bound(domain, members, eps_region, em):
 
     This is the admission test every protection set must pass. The
     comparison is exact floating point; no slack is added on either side.
+    A set of zero prior mass has no floor and never passes.
     """
     if not eps_region > 0:
         raise ValueError("eps_region must be > 0")
     if em < 0:
         raise ValueError("em must be >= 0")
-    return min_mean_distance(domain, members) >= math.exp(eps_region) * em
+    floor = _floor_or_none(domain, members)
+    return floor is not None and floor >= math.exp(eps_region) * em
 
 
 _HEADER = ["id", "x_km", "y_km", "prior"]

@@ -45,7 +45,11 @@ class ObfuscationMatrix:
             raise ValueError("rows must be a square matrix")
         if (rows < 0).any():
             raise ValueError("probabilities must be >= 0")
-        if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
+        totals = rows.sum(axis=1)
+        # with negatives ruled out, a NaN or infinite entry makes its row total non-finite
+        if not np.isfinite(totals).all():
+            raise ValueError("probabilities must be finite")
+        if np.abs(totals - 1.0).max() > 1e-9:
             raise ValueError("every row must sum to 1 within 1e-9")
         object.__setattr__(self, "rows", rows)
 

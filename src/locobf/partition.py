@@ -122,13 +122,21 @@ def weighted_avg_diameter(domain, plss):
     return float(sum(p.mass * p.diam for p in plss) / total)
 
 
-def _sets_wad(domain, sets):
-    # weighted average diameter for raw id-lists (no Pls construction)
-    masses = [prior_mass(domain, s) for s in sets]
-    total = sum(masses)
+def _sets_wad(domain, sets, known=None):
+    # weighted average diameter for raw id-lists (no Pls construction);
+    # `known` keeps each set's (mass, diameter) by sorted members across calls
+    if known is None:
+        known = {}
+    geometry = []
+    for s in sets:
+        key = tuple(sorted(s))
+        if key not in known:
+            known[key] = (prior_mass(domain, key), diameter(domain, key))
+        geometry.append(known[key])
+    total = sum(m for m, _ in geometry)
     if not total > 0:
         raise ValueError("zero total mass")
-    return sum(m * diameter(domain, s) for m, s in zip(masses, sets)) / total
+    return sum(m * d for m, d in geometry) / total
 
 
 def require_feasible(domain, eps, em):

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    InfeasibleParamsError,
-    min_mean_distance,
-    prior_mass,
-    satisfies_error_bound,
-)
+from .domain import satisfies_error_bound
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
 __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partition"]
@@ -67,15 +62,20 @@ def seed_centers(domain, k, rng):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     chosen = [int(rng.integers(n))]
+    nearest = domain.distances[chosen[0]].copy()  # distance to the nearest chosen center
+    free = np.ones(n, dtype=bool)
+    free[chosen[0]] = False
     while len(chosen) < k:
-        remaining = np.array([i for i in range(n) if i not in set(chosen)])
-        weights = domain.distances[np.ix_(remaining, chosen)].min(axis=1)
+        remaining = np.flatnonzero(free)
+        weights = nearest[remaining]
         total = weights.sum()
         if total > 0:
-            pick = rng.choice(remaining, p=weights / total)
+            pick = int(rng.choice(remaining, p=weights / total))
         else:
-            pick = rng.choice(remaining)
-        chosen.append(int(pick))
+            pick = int(rng.choice(remaining))
+        chosen.append(pick)
+        free[pick] = False
+        np.minimum(nearest, domain.distances[pick], out=nearest)
     return domain.positions[chosen].copy()
 
 
@@ -87,17 +87,56 @@ def _mismatch_column(domain, base_col, cluster_eps, lam):
     return base_col * weights
 
 
+# A fill decides admission from running sums and calls the exact test
+# only near the threshold. The running floor (products p_i * d(c, i)
+# summed in join order, over the summed member priors) and the exact
+# floor of satisfies_error_bound (a mat-vec over the sorted members, any
+# summation order) are each a sum of at most n non-negative products
+# divided by a sum of at most n non-negative priors. Each lies within a
+# relative (2n + 3) * 2**-53 of the real-number floor (the recursive
+# summation bound, which holds for every order and is only tightened by
+# fused multiply-adds), so the two differ by less than (4n + 6) * 2**-53:
+# under 5e-10 for every n below 10**6. The fill's margin rtol doubles that
+# and never goes below 1e-9. The bound assumes no product underflows and
+# nothing overflows: underflow costs at most n * 2**-1074 absolute, which
+# is negligible once the smallest running sum is at least 2**-900, and a
+# smaller or NaN sum, or a floor above 2**900, goes to the exact test too.
+_SUM_LOW = 2.0 ** -900
+_FLOOR_HIGH = 2.0 ** 900
+
+
+def _admit(low_sum, mass, threshold, rtol, exact):
+    """Admission from a running floor sum; exact() decides near the threshold.
+
+    low_sum is the smallest prior-weighted distance sum over candidate
+    estimates and mass the set's prior mass; a set of zero mass has no
+    floor and never passes, as in satisfies_error_bound.
+    """
+    if not mass > 0:
+        return False
+    floor = low_sum / mass
+    if _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH:
+        if floor >= threshold * (1.0 + rtol):
+            return True
+        if floor < threshold * (1.0 - rtol):
+            return False
+    return exact()
+
+
 def assign_round(domain, centers, params, personalized=False, weighted=None):
     """One greedy fill of clusters around fixed planar centers.
 
-    Returns (families, complete): a member-id list per cluster, and
-    whether every location found a home. Filling runs in two phases:
-    while open clusters remain, the globally nearest (location, open
-    cluster) pair joins, and a cluster closes once it has at least two
-    members and passes the error bound; once all clusters are closed the
-    leftovers join their nearest cluster whose bound survives the
-    addition, trying clusters nearest-first. A leftover that breaks
-    every cluster marks the round incomplete.
+    Returns (families, feasible): a member-id list per cluster in join
+    order, and whether the fill placed every location and closed every
+    cluster, which makes the families a valid partition. Filling runs
+    in two phases: while open clusters remain, the globally nearest
+    (location, open cluster) pair joins, and a cluster closes once it
+    has at least two members and passes the error bound; once all
+    clusters are closed the leftovers, nearest to any center first, join
+    their nearest cluster whose bound survives the addition, trying
+    clusters nearest-first. A leftover that breaks every cluster stays
+    out and makes the round infeasible; so does a cluster still open
+    when every location is placed.
     """
     if weighted is None:
         weighted = personalized
@@ -107,61 +146,68 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     k = len(centers)
     n = domain.n
     em, lam = params.em, params.lam
+    dist = domain.distances
+    prior_of = domain.priors.tolist()
+    eps_of = domain.personal_eps.tolist() if personalized else None
+    rtol = max(1e-9, 8.0 * (n + 2) * 2.0 ** -53)
 
     base = np.linalg.norm(domain.positions[:, None, :] - centers[None, :, :], axis=2)
-    cost = base.copy()
+    live = base.copy()  # joining cost, inf on placed rows and closed columns
     members = [[] for _ in range(k)]
-    cluster_eps = [None] * k
-    closed = np.zeros(k, dtype=bool)
+    cluster_eps = [math.inf if personalized else params.eps] * k
+    sums = np.zeros((k, n))  # sums[j, c]: prior-weighted distance from c to cluster j
+    mass = [0.0] * k
     assigned = np.zeros(n, dtype=bool)
+    placed = closed = 0
 
-    def budget_of(j):
-        if personalized:
-            return cluster_eps[j]
-        return params.eps
-
-    def join(i, j):
+    def join(i, j, new_sums):
+        """Add i to cluster j, whose sums become new_sums; True when its budget drops."""
         members[j].append(i)
         assigned[i] = True
-        if personalized:
-            e = float(domain.personal_eps[i])
-            if cluster_eps[j] is None or e < cluster_eps[j]:
-                cluster_eps[j] = e
-                if weighted:
-                    cost[:, j] = _mismatch_column(domain, base[:, j], e, lam)
+        sums[j] = new_sums
+        mass[j] += prior_of[i]
+        if personalized and eps_of[i] < cluster_eps[j]:
+            cluster_eps[j] = eps_of[i]
+            return True
+        return False
 
-    while not assigned.all() and not closed.all():
-        masked = np.where(assigned[:, None] | closed[None, :], np.inf, cost)
-        flat = int(masked.argmin())
-        i, j = divmod(flat, k)
-        join(i, j)
-        if len(members[j]) >= 2 and satisfies_error_bound(domain, members[j], budget_of(j), em):
-            closed[j] = True
+    while placed < n and closed < k:
+        i, j = divmod(int(live.argmin()), k)
+        live[i] = np.inf
+        placed += 1
+        if join(i, j, sums[j] + prior_of[i] * dist[i]) and weighted:
+            live[:, j] = _mismatch_column(domain, base[:, j], cluster_eps[j], lam)
+            live[assigned, j] = np.inf
+        if len(members[j]) >= 2 and _admit(
+            float(sums[j].min()), mass[j], math.exp(cluster_eps[j]) * em, rtol,
+            lambda: satisfies_error_bound(domain, members[j], cluster_eps[j], em),
+        ):
+            live[:, j] = np.inf
+            closed += 1
 
-    complete = True
-    while not assigned.all():
-        # all clusters are closed; leftovers go by plain distance, the
-        # budget weight only steers the first phase
-        masked = np.where(assigned[:, None], np.inf, base)
-        per_loc = masked.min(axis=1)
-        i = int(per_loc.argmin())
-        placed = False
-        for j in np.argsort(base[i], kind="stable"):
-            j = int(j)
-            trial = members[j] + [i]
-            trial_eps = budget_of(j)
-            if personalized:
-                trial_eps = min(trial_eps, float(domain.personal_eps[i]))
-            if satisfies_error_bound(domain, trial, trial_eps, em):
-                join(i, j)
-                placed = True
+    feasible = closed == k
+    # leftovers remain only once every cluster is closed; they go by plain
+    # distance, the budget weight only steers the first phase
+    leftovers = np.flatnonzero(~assigned)
+    leftovers = leftovers[np.argsort(base[leftovers].min(axis=1), kind="stable")]
+    nearest_first = np.argsort(base[leftovers], axis=1, kind="stable").tolist()
+    for i, order in zip(leftovers.tolist(), nearest_first):
+        p = prior_of[i]
+        row = p * dist[i]
+        # trial sums are formed per cluster tried: a leftover nearly always
+        # joins the first cluster it tries
+        for j in order:
+            trial = sums[j] + row
+            trial_eps = min(cluster_eps[j], eps_of[i]) if personalized else cluster_eps[j]
+            if _admit(
+                float(trial.min()), mass[j] + p, math.exp(trial_eps) * em, rtol,
+                lambda: satisfies_error_bound(domain, members[j] + [i], trial_eps, em),
+            ):
+                join(i, j, trial)
                 break
-        if not placed:
-            assigned[i] = True  # keep scanning so the failure is total, not positional
-            complete = False
-    if not complete:
-        return members, False
-    return members, True
+        else:
+            feasible = False
+    return members, feasible
 
 
 def _family_eps(domain, family, params, personalized):
@@ -169,32 +215,39 @@ def _family_eps(domain, family, params, personalized):
         return [float(domain.personal_eps[list(f)].min()) if f else None for f in family]
     return [params.eps for _ in family]
 
-def _family_feasible(domain, family, params, personalized):
-    for f, e in zip(family, _family_eps(domain, family, params, personalized)):
-        if len(f) < 2 or not satisfies_error_bound(domain, f, e, params.em):
-            return False
-    return True
-
 
 def _search_k(domain, params, config, k, personalized, weighted):
-    """Best feasible family over restarts and center iterations, or None."""
+    """Best feasible family over restarts and center iterations, or None.
+
+    A fill depends only on its centers, so a round whose centers were
+    already filled for this k (a restart meeting an earlier one, or
+    centers cycling without converging) replays the recorded move
+    instead of filling again. A replay cannot change the best family:
+    its weighted mean diameter was already compared once. Most clusters
+    recur from round to round, so their masses and diameters are kept.
+    """
     best = None
     best_w = math.inf
+    moves = {}  # centers bytes -> (next centers, largest center move)
+    known = {}  # sorted members -> (mass, diameter)
     for restart in range(config.max_samp):
         rng = np.random.default_rng([config.seed, k, restart])
         centers = seed_centers(domain, k, rng)
         for _ in range(config.max_iter):
-            family, complete = assign_round(domain, centers, params, personalized, weighted)
-            if complete and _family_feasible(domain, family, params, personalized):
-                w = _sets_wad(domain, family)
-                if w < best_w:
-                    best, best_w = [list(f) for f in family], w
-            new_centers = np.array([
-                domain.positions[f].mean(axis=0) if f else centers[j]
-                for j, f in enumerate(family)
-            ])
-            moved = float(np.linalg.norm(new_centers - centers, axis=1).max())
-            centers = new_centers
+            key = centers.tobytes()
+            if key not in moves:
+                family, feasible = assign_round(domain, centers, params, personalized, weighted)
+                if feasible:
+                    w = _sets_wad(domain, family, known)
+                    if w < best_w:
+                        best, best_w = family, w
+                new_centers = np.array([
+                    domain.positions[f].mean(axis=0) if f else centers[j]
+                    for j, f in enumerate(family)
+                ])
+                moved = float(np.linalg.norm(new_centers - centers, axis=1).max())
+                moves[key] = (new_centers, moved)
+            centers, moved = moves[key]
             if moved < config.center_tol:
                 break
     return best

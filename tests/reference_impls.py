@@ -1,11 +1,17 @@
 """Brute-force reference implementations, deliberately naive.
 
-Everything here is pure Python over scalar floats so the arithmetic
-path shares nothing with the package's vectorized code. Used to
-cross-check the optimized versions on fixtures and random instances.
+The metric references are pure Python over scalar floats so the
+arithmetic path shares nothing with the package's vectorized code. The
+qk fill reference keeps the original numpy fill, which decides every
+admission with the exact test. Used to cross-check the optimized
+versions on fixtures and random instances.
 """
 
 import math
+
+import numpy as np
+
+from locobf.domain import satisfies_error_bound
 
 
 def brute_distance(a, b):
@@ -67,3 +73,125 @@ def brute_optimal_attack(domain, rows, pseudo):
 
 def brute_cond_err(domain, rows, pseudo):
     return brute_optimal_attack(domain, rows, pseudo)[1]
+
+
+# The qk center seeding and greedy fill as first written: the seeding
+# rebuilds the remaining set and its nearest-center distances per draw,
+# the fill takes a fresh masked copy of the cost matrix per join and one
+# exact admission test per join and per trial. The package's versions
+# must draw the same centers and return the same member lists in the
+# same join order.
+
+
+def reference_seed_centers(domain, k, rng):
+    n = domain.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        remaining = np.array([i for i in range(n) if i not in set(chosen)])
+        weights = domain.distances[np.ix_(remaining, chosen)].min(axis=1)
+        total = weights.sum()
+        if total > 0:
+            pick = rng.choice(remaining, p=weights / total)
+        else:
+            pick = rng.choice(remaining)
+        chosen.append(int(pick))
+    return domain.positions[chosen].copy()
+
+
+def _mismatch_column(domain, base_col, cluster_eps, lam):
+    # effective joining distance against a cluster with budget cluster_eps
+    weights = 1.0 + lam - np.minimum(domain.personal_eps, cluster_eps) / np.maximum(
+        domain.personal_eps, cluster_eps
+    )
+    return base_col * weights
+
+
+def reference_assign_round(domain, centers, params, personalized=False, weighted=None):
+    """One greedy fill of clusters around fixed planar centers.
+
+    Returns (families, complete): a member-id list per cluster, and
+    whether every location found a home. Filling runs in two phases:
+    while open clusters remain, the globally nearest (location, open
+    cluster) pair joins, and a cluster closes once it has at least two
+    members and passes the error bound; once all clusters are closed the
+    leftovers join their nearest cluster whose bound survives the
+    addition, trying clusters nearest-first. A leftover that breaks
+    every cluster marks the round incomplete.
+    """
+    if weighted is None:
+        weighted = personalized
+    if personalized and domain.personal_eps is None:
+        raise ValueError("personalized assignment needs per-location budgets")
+    centers = np.asarray(centers, dtype=float)
+    k = len(centers)
+    n = domain.n
+    em, lam = params.em, params.lam
+
+    base = np.linalg.norm(domain.positions[:, None, :] - centers[None, :, :], axis=2)
+    cost = base.copy()
+    members = [[] for _ in range(k)]
+    cluster_eps = [None] * k
+    closed = np.zeros(k, dtype=bool)
+    assigned = np.zeros(n, dtype=bool)
+
+    def budget_of(j):
+        if personalized:
+            return cluster_eps[j]
+        return params.eps
+
+    def join(i, j):
+        members[j].append(i)
+        assigned[i] = True
+        if personalized:
+            e = float(domain.personal_eps[i])
+            if cluster_eps[j] is None or e < cluster_eps[j]:
+                cluster_eps[j] = e
+                if weighted:
+                    cost[:, j] = _mismatch_column(domain, base[:, j], e, lam)
+
+    while not assigned.all() and not closed.all():
+        masked = np.where(assigned[:, None] | closed[None, :], np.inf, cost)
+        flat = int(masked.argmin())
+        i, j = divmod(flat, k)
+        join(i, j)
+        if len(members[j]) >= 2 and satisfies_error_bound(domain, members[j], budget_of(j), em):
+            closed[j] = True
+
+    complete = True
+    while not assigned.all():
+        # all clusters are closed; leftovers go by plain distance, the
+        # budget weight only steers the first phase
+        masked = np.where(assigned[:, None], np.inf, base)
+        per_loc = masked.min(axis=1)
+        i = int(per_loc.argmin())
+        placed = False
+        for j in np.argsort(base[i], kind="stable"):
+            j = int(j)
+            trial = members[j] + [i]
+            trial_eps = budget_of(j)
+            if personalized:
+                trial_eps = min(trial_eps, float(domain.personal_eps[i]))
+            if satisfies_error_bound(domain, trial, trial_eps, em):
+                join(i, j)
+                placed = True
+                break
+        if not placed:
+            assigned[i] = True  # keep scanning so the failure is total, not positional
+            complete = False
+    if not complete:
+        return members, False
+    return members, True
+
+
+def reference_feasible(domain, family, params, personalized):
+    """Every family has two members and passes the bound at its budget."""
+    for f in family:
+        if personalized:
+            eps = float(domain.personal_eps[list(f)].min()) if f else None
+        else:
+            eps = params.eps
+        if len(f) < 2 or not satisfies_error_bound(domain, f, eps, params.em):
+            return False
+    return True

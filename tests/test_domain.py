@@ -109,6 +109,18 @@ def test_satisfies_error_bound():
         satisfies_error_bound(pair, [0, 1], 0.0, 0.4)
 
 
+def test_zero_mass_set_has_no_floor():
+    dom = LocationDomain([
+        Location(0, (0.0, 0.0), 0.0),
+        Location(1, (1.0, 0.0), 0.0),
+        Location(2, (5.0, 0.0), 1.0),
+    ])
+    assert not satisfies_error_bound(dom, [0, 1], 1.0, 0.0)
+    assert satisfies_error_bound(dom, [0, 2], 1.0, 0.0)
+    with pytest.raises(ValueError, match="zero prior mass"):
+        min_mean_distance(dom, [0, 1])
+
+
 def test_location_validation():
     with pytest.raises(ValueError):
         Location(0, (float("nan"), 0.0), 0.5)

@@ -258,6 +258,49 @@ def test_run_sweep_marks_infeasible_cells(tmp_path):
     assert all(",50," in r for r in na_rows)
 
 
+def test_run_sweep_computes_shared_cells_once(tmp_path, monkeypatch):
+    """em-baseline reuses the hilbert walk, also when it is infeasible, and
+    qk-personalized cells that differ only in eps are one computation."""
+    import locobf.cli as cli
+
+    def logged(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    walks, cells = [], []  # params per walk, algorithm per computed cell
+    monkeypatch.setattr(cli, "best_hilbert_partition", logged(walks, cli.best_hilbert_partition))
+    monkeypatch.setattr(cli, "_run_cell", logged(cells, cli._run_cell))
+
+    def sweep(algorithms, name):
+        config = SweepConfig(
+            dataset="synth:n=16", eps_values=(0.5, 1.0), em_values=(0.05, 50.0),
+            algorithms=algorithms, seeds=(1,), output_dir=str(tmp_path / name),
+        )
+        rows = (run_sweep(config) / "results.csv").read_text().splitlines()[1:]
+        return {tuple(r.split(",")[:5]): r.split(",")[5] for r in rows}
+
+    shared = sweep(("hilbert", "em-baseline", "qk-personalized"), "shared")
+    assert len(walks) == 4  # one per (eps, em) pair
+    assert cells.count("qk-personalized") == 2  # one per em
+    alone = sweep(("em-baseline",), "alone")
+    assert len(walks) == 8
+    assert all(shared[key] == value for key, value in alone.items())
+    assert sum(v == "NA" for v in alone.values()) == 2 * len(SWEEP_METRICS)
+    for metric in SWEEP_METRICS:
+        for em in ("0.05", "50"):
+            personal = [shared[("qk-personalized", eps, em, "1", metric)] for eps in ("0.5", "1")]
+            assert personal[0] == personal[1]
+
+
+def test_sweep_config_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="eps_values"):
+        SweepConfig("synth:n=16", (1.0, -1.0), (0.05,), ("qk-personalized",), (1,), "out")
+    with pytest.raises(ValueError, match="em_values"):
+        SweepConfig("synth:n=16", (1.0,), (-0.05,), ("hilbert",), (1,), "out")
+
+
 def test_aggregate_cells_is_pure():
     cells = [
         ("hilbert", 1.0, 0.05, 1, {m: 1.5 for m in SWEEP_METRICS}),
@@ -362,6 +405,18 @@ def test_wtd_command(tmp_path, capsys):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-samp", "0"), ("--max-iter", "-1"),
+])
+def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value):
+    code = main([
+        "partition", "--dataset", line6_file, "--algorithm", "qk",
+        "--eps", "0.1", "--em", "0.4", flag, value,
+    ])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_main_usage_and_io_errors(tmp_path, capsys):

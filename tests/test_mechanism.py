@@ -207,3 +207,7 @@ def test_hand_built_matrix_validation():
         ObfuscationMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(ValueError, match=">= 0"):
         ObfuscationMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        ObfuscationMatrix(np.array([[np.nan, np.nan], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        ObfuscationMatrix(np.array([[np.inf, 0.0], [0.5, 0.5]]))

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from locobf import (
@@ -10,11 +11,15 @@ from locobf import (
     Partition,
     Pls,
     PrivacyParams,
+    QkConfig,
     best_hilbert_partition,
+    build_matrix,
+    compute_metrics,
     load_partition,
     min_mean_distance,
     order_domain,
     partition_on_ordering,
+    qk_partition,
     require_feasible,
     save_partition,
     synth_domain,
@@ -208,3 +213,21 @@ def test_pls_of():
     )
     assert part.pls_of() == {0: 0, 1: 0, 2: 1, 3: 1}
     assert part.k == 2
+
+
+def test_zero_prior_locations_partition():
+    """Locations of zero prior mass are covered like any other."""
+    base = synth_domain(12, seed=0)
+    # 4 and 5 are the two nearest locations, so both partitioners try them as a pair
+    dom = LocationDomain([
+        Location(loc.id, loc.pos, 0.0 if loc.id in (4, 5) else loc.prior)
+        for loc in base.locations
+    ])
+    params = PrivacyParams(1.0, 0.1)
+    for part in (best_hilbert_partition(dom, params),
+                 qk_partition(dom, params, QkConfig(max_samp=3, seed=1))):
+        part.validate(dom)
+        report = compute_metrics(dom, build_matrix(dom, part))
+        for values in (report.exp_err, report.qloss, report.cond_err,
+                       report.avg_err, report.success):
+            assert np.isfinite(values).all()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import locobf.qkmeans as qkmeans
 from locobf import (
     InfeasibleParamsError,
     Location,
@@ -12,11 +13,14 @@ from locobf import (
     assign_personal_eps,
     assign_round,
     eps_weight,
+    min_mean_distance,
     qk_partition,
+    satisfies_error_bound,
     seed_centers,
     synth_domain,
     weighted_avg_diameter,
 )
+from reference_impls import reference_assign_round, reference_feasible, reference_seed_centers
 
 
 def test_config_validation():
@@ -169,3 +173,82 @@ def test_qk_personalized_budgets():
             float(dom.personal_eps[list(pls.members)].min())
         )
     assert "personalized" in part.provenance
+
+
+_MODES = {
+    "uniform": (False, False),
+    "personalized-weighted": (True, True),
+    "personalized-unweighted": (True, False),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_assign_round_matches_reference(mode):
+    """Same members in the same join order, and feasibility as recomputed."""
+    personalized, weighted = _MODES[mode]
+    for s in range(24):
+        rng = np.random.default_rng([90, s])
+        dom = synth_domain(int(rng.integers(10, 41)), seed=7000 + s)
+        if personalized:
+            dom = assign_personal_eps(dom, 0.5, 1.5, seed=s)
+        params = PrivacyParams(float(rng.choice([0.5, 1.0, 2.0])),
+                               float(rng.choice([0.05, 0.1, 0.2])))
+        for _ in range(3):
+            k = int(rng.integers(1, dom.n // 2 + 1))
+            if rng.random() < 0.5:
+                centers = seed_centers(dom, k, rng)
+            else:
+                centers = rng.uniform(0.0, 16.0, size=(k, 2))
+            got, feasible = assign_round(dom, centers, params, personalized, weighted)
+            want, complete = reference_assign_round(dom, centers, params, personalized, weighted)
+            assert got == want
+            assert feasible == (complete and reference_feasible(dom, want, params, personalized))
+
+
+def test_seed_centers_matches_reference():
+    for s in range(10):
+        dom = synth_domain(30, seed=7100 + s)
+        for k in (1, 2, 7, 30):
+            got = seed_centers(dom, k, np.random.default_rng([91, s, k]))
+            want = reference_seed_centers(dom, k, np.random.default_rng([91, s, k]))
+            assert np.array_equal(got, want)
+
+
+def test_assign_round_decides_ties_exactly(line6, monkeypatch):
+    """A floor equal to exp(eps) * em is left to the exact test, and passes."""
+    eps = 0.1
+    floor = min_mean_distance(line6, [0, 1])
+    em = floor / math.exp(eps)
+    while math.exp(eps) * em < floor:
+        em = math.nextafter(em, math.inf)
+    while math.exp(eps) * em > floor:
+        em = math.nextafter(em, 0.0)
+    assert math.exp(eps) * em == floor
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return satisfies_error_bound(*args)
+
+    monkeypatch.setattr(qkmeans, "satisfies_error_bound", counting)
+    params = PrivacyParams(eps, em)
+    centers = np.array([[0.5, 0.0], [2.5, 0.0], [4.5, 0.0]])
+    members, feasible = assign_round(line6, centers, params)
+    assert calls
+    assert feasible
+    assert members == reference_assign_round(line6, centers, params)[0]
+    assert [sorted(m) for m in members] == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_assign_round_open_cluster_is_infeasible():
+    """Every location placed while a cluster stays open: not a partition."""
+    dom = LocationDomain(
+        [Location(i, (x, 0.0), 0.2) for i, x in enumerate((0.0, 1.0, 10.0, 11.0, 12.0))]
+    )
+    params = PrivacyParams(1.0, 0.6 / math.exp(1.0))  # pairs reach 0.5, the triple 2/3
+    centers = np.array([[0.5, 0.0], [11.0, 0.0]])
+    members, feasible = assign_round(dom, centers, params)
+    want, complete = reference_assign_round(dom, centers, params)
+    assert members == want == [[0, 1], [3, 2, 4]]
+    assert complete
+    assert not feasible
