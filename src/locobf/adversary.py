@@ -66,42 +66,9 @@ def conditional_error(domain, matrix, pseudo_id):
     return float((domain.distances @ post).min())
 
 
-def expected_error(domain, matrix):
-    """Mean optimal-attack distance over the pseudo-location marginal."""
-    post, marginal = _posterior_columns(domain, matrix)
-    per_pseudo = (domain.distances @ post).min(axis=0)
-    return float(per_pseudo @ marginal)
-
-
 def quality_loss(domain, matrix):
     """Prior-weighted mean distance between true and reported locations."""
     return float((domain.priors[:, None] * matrix.rows * domain.distances).sum())
-
-
-def _optimal_attack_ids(domain, matrix):
-    post, _ = _posterior_columns(domain, matrix)
-    return (domain.distances @ post).argmin(axis=0)
-
-
-def avg_error(domain, matrix, true_id):
-    """Expected optimal-attack distance when the true location is known."""
-    if not 0 <= true_id < matrix.n:
-        raise ValueError(f"unknown location id {true_id}")
-    attack = _optimal_attack_ids(domain, matrix)
-    return float(matrix.rows[true_id] @ domain.distances[attack, true_id])
-
-
-def success_prob(domain, matrix, true_id):
-    """Probability that the Bayesian attack names the true location exactly.
-
-    The complementary value, the chance the posterior mode misses, is
-    simply 1 minus this.
-    """
-    if not 0 <= true_id < matrix.n:
-        raise ValueError(f"unknown location id {true_id}")
-    post, _ = _posterior_columns(domain, matrix)
-    mode = post.argmax(axis=0)
-    return float(matrix.rows[true_id][mode == true_id].sum())
 
 
 @dataclass(frozen=True)
@@ -118,18 +85,41 @@ class MetricsReport:
 
 
 def compute_metrics(domain, matrix):
-    """All adversary metrics in one vectorized pass."""
+    """All adversary metrics in one vectorized pass: the attack table."""
     post, marginal = _posterior_columns(domain, matrix)
     attack_costs = domain.distances @ post
     cond = attack_costs.min(axis=0)
     attack = attack_costs.argmin(axis=0)
     mode = post.argmax(axis=0)
     exp_err = float(cond @ marginal)
-    qloss = float((domain.priors[:, None] * matrix.rows * domain.distances).sum())
+    qloss = quality_loss(domain, matrix)
     avg = (matrix.rows * domain.distances[attack, :].T).sum(axis=1)
     hit = mode[None, :] == np.arange(matrix.n)[:, None]
     success = (matrix.rows * hit).sum(axis=1)
     return MetricsReport(exp_err, qloss, cond, avg, success)
+
+
+def expected_error(domain, matrix):
+    """Mean optimal-attack distance over the pseudo-location marginal."""
+    return compute_metrics(domain, matrix).exp_err
+
+
+def avg_error(domain, matrix, true_id):
+    """Expected optimal-attack distance when the true location is known."""
+    if not 0 <= true_id < matrix.n:
+        raise ValueError(f"unknown location id {true_id}")
+    return float(compute_metrics(domain, matrix).avg_err[true_id])
+
+
+def success_prob(domain, matrix, true_id):
+    """Probability that the Bayesian attack names the true location exactly.
+
+    The complementary value, the chance the posterior mode misses, is
+    simply 1 minus this.
+    """
+    if not 0 <= true_id < matrix.n:
+        raise ValueError(f"unknown location id {true_id}")
+    return float(compute_metrics(domain, matrix).success[true_id])
 
 
 def save_metrics(report, stream, metrics=None):

@@ -23,7 +23,13 @@ from .domain import (
     save_domain,
     synth_domain,
 )
-from .mechanism import ObfuscationMatrix, build_matrix, build_matrix_constant, sample_pseudo
+from .mechanism import (
+    ObfuscationMatrix,
+    build_matrix,
+    build_matrix_constant,
+    sample_pseudo,
+    save_matrix,
+)
 from .partition import (
     best_hilbert_partition,
     load_partition,
@@ -66,18 +72,21 @@ def _substream(seed, purpose):
     return np.random.default_rng([int(seed), int(purpose)])
 
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _checked(cast, ok, requirement):
+    """argparse type: cast the text, then require ok(value); NaN fails every bound."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value" errors
+    return parse
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+_nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: v > 0, "> 0")
+_nonneg_float = _checked(float, lambda v: v >= 0, ">= 0")
 
 
 def _float_pair(text):
@@ -201,7 +210,6 @@ def cmd_evaluate(args):
             )
     matrix = build_matrix(domain, partition)
     if args.matrix_out:
-        from .mechanism import save_matrix
         with open(args.matrix_out, "w", newline="") as fh:
             save_matrix(matrix, fh)
     report = compute_metrics(domain, matrix)
@@ -263,19 +271,14 @@ def parse_sweep_config(source):
     unknown = values.keys() - required
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    try:
-        return SweepConfig(
-            dataset=values["dataset"],
-            eps_values=tuple(float(v) for v in values["eps_values"].split(",")),
-            em_values=tuple(float(v) for v in values["em_values"].split(",")),
-            algorithms=tuple(a.strip() for a in values["algorithms"].split(",")),
-            seeds=tuple(int(v) for v in values["seeds"].split(",")),
-            output_dir=values["output_dir"],
-        )
-    except ValueError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ValueError(f"malformed sweep config: {exc}") from exc
+    return SweepConfig(
+        dataset=values["dataset"],
+        eps_values=tuple(float(v) for v in values["eps_values"].split(",")),
+        em_values=tuple(float(v) for v in values["em_values"].split(",")),
+        algorithms=tuple(a.strip() for a in values["algorithms"].split(",")),
+        seeds=tuple(int(v) for v in values["seeds"].split(",")),
+        output_dir=values["output_dir"],
+    )
 
 
 def _parse_synth_spec(spec):
@@ -395,6 +398,8 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
     tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
     if tasks.shape[1] != 2:
         raise ValueError("tasks must be planar positions")
+    if len(tasks) == 0:
+        raise ValueError("need at least one task")
     if idle_count < 3:
         raise ValueError("need at least 3 idle workers")
     if idle_count > domain.n:
@@ -425,16 +430,13 @@ def cmd_wtd(args):
     identity = ObfuscationMatrix(np.eye(dom.n))
     reference = worker_travel_distance(dom, identity, tasks, args.idle,
                                        _substream(args.seed, _PURPOSE_WTD + 1))
-    line = f"wtd_km={private:.12g} nonprivate_km={reference:.12g}"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["metric", "value"])
             writer.writerow(["wtd_km", f"{private:.12g}"])
             writer.writerow(["nonprivate_km", f"{reference:.12g}"])
-        print(line)
-    else:
-        print(line)
+    print(f"wtd_km={private:.12g} nonprivate_km={reference:.12g}")
     return 0
 
 
@@ -460,9 +462,9 @@ def build_parser():
     p = sub.add_parser("partition", help="partition a dataset into protection sets")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="hilbert")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--em", type=float, required=True)
-    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--em", type=_nonneg_float, required=True)
+    p.add_argument("--lam", type=_nonneg_float, default=0.5)
     p.add_argument("--order", type=int, default=None, help="Hilbert grid order override")
     p.add_argument("--max-samp", type=_positive_int, default=10, dest="max_samp")
     p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
@@ -490,10 +492,10 @@ def build_parser():
     p = sub.add_parser("wtd", help="worker travel distance simulation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="hilbert")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--em", type=float, required=True)
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--tasks", type=int, default=100)
+    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--em", type=_nonneg_float, required=True)
+    p.add_argument("--lam", type=_nonneg_float, default=0.5)
+    p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--idle", type=int, default=30)
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range")

@@ -58,39 +58,49 @@ class ObfuscationMatrix:
         return self.rows.shape[0]
 
 
-def build_matrix(domain, partition):
-    """Exponential rows for every location of a partitioned domain.
+def _exp_rows(domain, groups):
+    """Release matrix from (row ids, diameter, eps) groups.
 
+    Each row of a group decays with distance at rate eps / (2 * diameter);
+    row_pls records the index of the group that shaped the row.
     Scores are shifted by the row maximum before exponentiation; the row
     maximum is always the zero-distance self-report, so the shift keeps
     the arithmetic stable without changing any probability.
     """
     n = domain.n
-    covered = sorted(m for pls in partition.plss for m in pls.members)
-    if covered != list(range(n)):
-        raise ValueError("partition does not cover the domain of this matrix")
     rows = np.empty((n, n), dtype=float)
     row_pls = np.empty(n, dtype=int)
     row_sens = np.empty(n, dtype=float)
     row_eps = np.empty(n, dtype=float)
     normalizers = np.empty(n, dtype=float)
-    for j, pls in enumerate(partition.plss):
+    for j, (ids, diam, eps) in enumerate(groups):
+        scale = eps / (2.0 * diam)
+        # scores become weights in place: an all-rows group holds one n x n temporary
+        weights = -scale * domain.distances[ids, :]
+        shift = weights.max(axis=1, keepdims=True)
+        weights -= shift
+        np.exp(weights, out=weights)
+        totals = weights.sum(axis=1)
+        weights /= totals[:, None]
+        rows[ids, :] = weights
+        normalizers[ids] = np.exp(-shift.ravel()) / totals
+        row_pls[ids] = j
+        row_sens[ids] = diam
+        row_eps[ids] = eps
+    return ObfuscationMatrix(rows, row_pls, row_sens, row_eps, normalizers)
+
+
+def build_matrix(domain, partition):
+    """Exponential rows for every location of a partitioned domain."""
+    covered = sorted(m for pls in partition.plss for m in pls.members)
+    if covered != list(range(domain.n)):
+        raise ValueError("partition does not cover the domain of this matrix")
+    for pls in partition.plss:
         if not pls.diam > 0:
             raise ValueError(
                 f"protection set {pls.members} has zero diameter; rows would be degenerate"
             )
-        idx = list(pls.members)
-        scale = pls.eps_region / (2.0 * pls.diam)
-        scores = -scale * domain.distances[idx, :]
-        shift = scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores - shift)
-        totals = weights.sum(axis=1)
-        rows[idx, :] = weights / totals[:, None]
-        normalizers[idx] = np.exp(-shift.ravel()) / totals
-        row_pls[idx] = j
-        row_sens[idx] = pls.diam
-        row_eps[idx] = pls.eps_region
-    return ObfuscationMatrix(rows, row_pls, row_sens, row_eps, normalizers)
+    return _exp_rows(domain, [(list(p.members), p.diam, p.eps_region) for p in partition.plss])
 
 
 def build_matrix_constant(domain, d_const, eps):
@@ -99,21 +109,7 @@ def build_matrix_constant(domain, d_const, eps):
         raise ValueError("d_const must be > 0")
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    n = domain.n
-    scale = eps / (2.0 * d_const)
-    scores = -scale * domain.distances
-    shift = scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores - shift)
-    totals = weights.sum(axis=1)
-    rows = weights / totals[:, None]
-    normalizers = np.exp(-shift.ravel()) / totals
-    return ObfuscationMatrix(
-        rows,
-        np.zeros(n, dtype=int),
-        np.full(n, float(d_const)),
-        np.full(n, float(eps)),
-        normalizers,
-    )
+    return _exp_rows(domain, [(slice(None), d_const, eps)])
 
 
 def sample_pseudo(matrix, true_id, rng, size=None):

@@ -113,13 +113,18 @@ class Partition:
 
 def weighted_avg_diameter(domain, plss):
     """Mass-weighted mean diameter of the given protection sets."""
-    plss = list(plss)
-    if not plss:
+    return _mean_diameter([(p.mass, p.diam) for p in plss])
+
+
+def _mean_diameter(geometry):
+    # sum(mass * diam) / sum(mass) over (mass, diam) pairs, summed in list
+    # order: the qk search compares these values exactly
+    if not geometry:
         raise ValueError("need at least one protection set")
-    total = sum(p.mass for p in plss)
+    total = sum(m for m, _ in geometry)
     if not total > 0:
         raise ValueError("protection sets have zero total mass")
-    return float(sum(p.mass * p.diam for p in plss) / total)
+    return float(sum(m * d for m, d in geometry) / total)
 
 
 def _sets_wad(domain, sets, known=None):
@@ -133,10 +138,7 @@ def _sets_wad(domain, sets, known=None):
         if key not in known:
             known[key] = (prior_mass(domain, key), diameter(domain, key))
         geometry.append(known[key])
-    total = sum(m for m, _ in geometry)
-    if not total > 0:
-        raise ValueError("zero total mass")
-    return sum(m * d for m, d in geometry) / total
+    return _mean_diameter(geometry)
 
 
 def require_feasible(domain, eps, em):

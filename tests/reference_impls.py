@@ -75,6 +75,26 @@ def brute_cond_err(domain, rows, pseudo):
     return brute_optimal_attack(domain, rows, pseudo)[1]
 
 
+def brute_avg_error(domain, rows, true_id):
+    # optimal-attack distance from true_id, averaged over true_id's reports
+    pos = domain.locations[true_id].pos
+    total = 0.0
+    for pseudo in range(domain.n):
+        guess = brute_optimal_attack(domain, rows, pseudo)[0]
+        total += rows[true_id][pseudo] * brute_distance(domain.locations[guess].pos, pos)
+    return total
+
+
+def brute_success_prob(domain, rows, true_id):
+    # chance that the posterior mode (lowest id on ties) is true_id
+    total = 0.0
+    for pseudo in range(domain.n):
+        post = brute_posterior(domain, rows, pseudo)
+        if post.index(max(post)) == true_id:
+            total += rows[true_id][pseudo]
+    return total
+
+
 # The qk center seeding and greedy fill as first written: the seeding
 # rebuilds the remaining set and its nearest-center distances per draw,
 # the fill takes a fresh masked copy of the cost matrix per join and one

@@ -40,9 +40,11 @@ from locobf import (
     weighted_avg_diameter,
 )
 from reference_impls import (
+    brute_avg_error,
     brute_cond_err,
     brute_min_mean_distance,
     brute_optimal_attack,
+    brute_success_prob,
 )
 
 
@@ -256,12 +258,19 @@ def test_matches_brute_force(triangle, two_loc):
             brute_min_mean_distance(dom, members), rel=1e-12
         )
         marginal = dom.priors @ mat.rows
+        report = compute_metrics(dom, mat)
         mix = 0.0
         for j in range(10):
             brute = brute_cond_err(dom, mat.rows, j)
             assert conditional_error(dom, mat, j) == pytest.approx(brute, rel=1e-12)
             assert optimal_attack(dom, posterior(dom, mat, j)) == \
                 brute_optimal_attack(dom, mat.rows, j)[0]
+            assert report.avg_err[j] == pytest.approx(
+                brute_avg_error(dom, mat.rows, j), rel=1e-12
+            )
+            assert report.success[j] == pytest.approx(
+                brute_success_prob(dom, mat.rows, j), rel=1e-12
+            )
             mix += marginal[j] * brute
         assert expected_error(dom, mat) == pytest.approx(mix, rel=1e-12)
 

@@ -25,6 +25,7 @@ from locobf import (
     success_prob,
     synth_domain,
 )
+from reference_impls import brute_avg_error, brute_success_prob
 
 
 @pytest.fixture
@@ -154,10 +155,14 @@ def test_compute_metrics_matches_pointwise():
         assert report.cond_err[j] == pytest.approx(
             conditional_error(dom, m, j), abs=1e-12
         )
-        assert report.avg_err[j] == pytest.approx(avg_error(dom, m, j), abs=1e-12)
-        assert report.success[j] == pytest.approx(
-            success_prob(dom, m, j), abs=1e-12
+        assert report.avg_err[j] == pytest.approx(
+            brute_avg_error(dom, m.rows, j), abs=1e-12
         )
+        assert report.success[j] == pytest.approx(
+            brute_success_prob(dom, m.rows, j), abs=1e-12
+        )
+        assert avg_error(dom, m, j) == report.avg_err[j]
+        assert success_prob(dom, m, j) == report.success[j]
 
 
 def test_metrics_roundtrip(two_loc):

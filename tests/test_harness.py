@@ -369,6 +369,8 @@ def test_wtd_input_validation(line12):
         worker_travel_distance(line12, ident, [[0.0, 0.0]], 13, rng)
     with pytest.raises(ValueError, match="planar"):
         worker_travel_distance(line12, ident, [[0.0, 0.0, 0.0]], 3, rng)
+    with pytest.raises(ValueError, match="at least one task"):
+        worker_travel_distance(line12, ident, np.empty((0, 2)), 3, rng)
 
 
 def test_wtd_grows_with_flatter_rows(line12):
@@ -409,12 +411,23 @@ def test_wtd_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--max-samp", "0"), ("--max-iter", "-1"),
+    ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"),
+    ("--em", "-0.1"), ("--em", "nan"), ("--lam", "-1"), ("--lam", "nan"),
 ])
 def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value):
     code = main([
         "partition", "--dataset", line6_file, "--algorithm", "qk",
         "--eps", "0.1", "--em", "0.4", flag, value,
     ])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tasks", "0"), ("--tasks", "-3"), ("--em", "-0.1"), ("--eps", "nan"),
+])
+def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
+    code = main(["wtd", "--dataset", line6_file, "--eps", "1.0", "--em", "0.1", flag, value])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
 

@@ -134,7 +134,8 @@ def test_constant_matches_single_set_partition(line3):
     )
     a = build_matrix(line3, part)
     b = build_matrix_constant(line3, part.plss[0].diam, 0.7)
-    assert a.rows == pytest.approx(b.rows, abs=1e-15)
+    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.normalizers, b.normalizers)
 
 
 def test_larger_sensitivity_flattens_rows(line3):
