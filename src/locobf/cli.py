@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 infeasible privacy parameters,
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +94,10 @@ def _float_pair(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated numbers")
-    return float(parts[0]), float(parts[1])
+    low, high = float(parts[0]), float(parts[1])
+    if not 0 < low <= high < math.inf:
+        raise argparse.ArgumentTypeError("need 0 < LO <= HI < inf")
+    return low, high
 
 
 def _open_out(args):
@@ -449,11 +453,11 @@ def build_parser():
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cell-km", type=float, default=1.0, dest="cell_km")
+    p.add_argument("--n", type=_checked(int, lambda v: v >= 2, ">= 2"), required=True)
+    p.add_argument("--cell-km", type=_positive_float, default=1.0, dest="cell_km")
     p.add_argument("--prior-low", type=float, default=0.01, dest="prior_low")
     p.add_argument("--prior-high", type=float, default=0.03, dest="prior_high")
-    p.add_argument("--grid-side", type=int, default=16, dest="grid_side")
+    p.add_argument("--grid-side", type=_positive_int, default=16, dest="grid_side")
     p.add_argument("--eps-range", type=_float_pair, default=None, dest="eps_range",
                    help="add per-location budgets drawn uniformly from LO,HI")
     common(p)
@@ -465,7 +469,7 @@ def build_parser():
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--em", type=_nonneg_float, required=True)
     p.add_argument("--lam", type=_nonneg_float, default=0.5)
-    p.add_argument("--order", type=int, default=None, help="Hilbert grid order override")
+    p.add_argument("--order", type=_nonneg_int, default=None, help="Hilbert grid order override")
     p.add_argument("--max-samp", type=_positive_int, default=10, dest="max_samp")
     p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
@@ -496,7 +500,7 @@ def build_parser():
     p.add_argument("--em", type=_nonneg_float, required=True)
     p.add_argument("--lam", type=_nonneg_float, default=0.5)
     p.add_argument("--tasks", type=_positive_int, default=100)
-    p.add_argument("--idle", type=int, default=30)
+    p.add_argument("--idle", type=_checked(int, lambda v: v >= 3, ">= 3"), default=30)
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range")
     common(p)

@@ -139,9 +139,9 @@ class PrivacyParams:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be > 0")
-        if self.em < 0:
+        if not self.em >= 0:
             raise ValueError("em must be >= 0")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
 
 
@@ -229,6 +229,45 @@ def satisfies_error_bound(domain, members, eps_region, em):
         raise ValueError("em must be >= 0")
     floor = _floor_or_none(domain, members)
     return floor is not None and floor >= math.exp(eps_region) * em
+
+
+# Partitioners decide admission from running sums and call the exact test
+# only near the threshold. The running floor (products p_i * d(c, i)
+# summed in join order, over the summed member priors) and the exact
+# floor of satisfies_error_bound (a mat-vec over the sorted members, any
+# summation order) are each a sum of at most n non-negative products
+# divided by a sum of at most n non-negative priors. Each lies within a
+# relative (2n + 3) * 2**-53 of the real-number floor (the recursive
+# summation bound, which holds for every order and is only tightened by
+# fused multiply-adds), so the two differ by less than (4n + 6) * 2**-53,
+# and the margin rtol = 8 * (n + 2) * 2**-53 at least doubles that. The bound
+# assumes no product underflows and nothing overflows: underflow costs at
+# most n * 2**-1074 absolute, which is negligible once the smallest
+# running sum is at least 2**-900, and a smaller or NaN sum, or a floor
+# above 2**900, goes to the exact test too.
+_SUM_LOW = 2.0 ** -900
+_FLOOR_HIGH = 2.0 ** 900
+
+
+def _admits(domain, members, low_sum, mass, eps_region, em):
+    """satisfies_error_bound(domain, members, eps_region, em) from running sums.
+
+    low_sum is the members' smallest prior-weighted distance sum over
+    candidate estimates and mass their prior mass, each summed in any
+    order. Outside a certified margin around the threshold they decide;
+    inside it the exact test does, so the answer is always the exact one.
+    """
+    if not mass > 0:
+        return False
+    threshold = math.exp(eps_region) * em
+    floor = low_sum / mass
+    if _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH:
+        rtol = 8.0 * (domain.n + 2) * 2.0 ** -53
+        if floor >= threshold * (1.0 + rtol):
+            return True
+        if floor < threshold * (1.0 - rtol):
+            return False
+    return satisfies_error_bound(domain, members, eps_region, em)
 
 
 _HEADER = ["id", "x_km", "y_km", "prior"]

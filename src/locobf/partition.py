@@ -16,6 +16,7 @@ import numpy as np
 from .domain import (
     InfeasibleParamsError,
     PrivacyParams,
+    _admits,
     diameter,
     min_mean_distance,
     prior_mass,
@@ -148,25 +149,33 @@ def require_feasible(domain, eps, em):
 
 
 class _Side:
-    """A growing run of curve-consecutive locations with cached geometry."""
+    """A growing run of curve-consecutive locations with running geometry."""
 
     def __init__(self, domain):
         self.domain = domain
         self.members = []  # in curve order
         self.diam = 0.0
+        self.sums = np.zeros(domain.n)  # prior-weighted distance from each location
+        self.mass = 0.0
+
+    def _grow(self, loc):
+        row = self.domain.distances[loc]
+        if self.members:
+            self.diam = max(self.diam, float(row[self.members].max()))
+        p = float(self.domain.priors[loc])
+        self.sums += p * row
+        self.mass += p
 
     def add_right(self, loc):
-        if self.members:
-            self.diam = max(self.diam, float(self.domain.distances[loc, self.members].max()))
+        self._grow(loc)
         self.members.append(loc)
 
     def add_left(self, loc):
-        if self.members:
-            self.diam = max(self.diam, float(self.domain.distances[loc, self.members].max()))
+        self._grow(loc)
         self.members.insert(0, loc)
 
     def satisfies(self, eps, em):
-        return satisfies_error_bound(self.domain, self.members, eps, em)
+        return _admits(self.domain, self.members, float(self.sums.min()), self.mass, eps, em)
 
     def min_dist_to(self, loc):
         return float(self.domain.distances[loc, self.members].min())
@@ -180,7 +189,8 @@ def partition_on_ordering(domain, ordering, params):
     whenever at least two locations remain between them. The leftover
     middle is merged, split between its closed neighbours at the cut that
     minimizes their mass-weighted mean diameter, or swallowed by the most
-    recently closed set until the bound holds.
+    recently closed set until the bound holds. The result is not
+    validated; best_hilbert_partition validates the walk it keeps.
     """
     n = domain.n
     if n < 4:
@@ -260,11 +270,9 @@ def partition_on_ordering(domain, ordering, params):
                 remainder = remainder + right_closed.pop(0)
 
     plss = tuple(Pls.build(domain, s, eps) for s in sets)
-    part = Partition(
+    return Partition(
         plss, params, f"hilbert(rotation={ordering.rotation},order={ordering.order})"
     )
-    part.validate(domain)
-    return part
 
 
 def _best_remainder_split(domain, remainder, left_closed, right_closed, eps, em):
@@ -302,24 +310,14 @@ def _best_remainder_split(domain, remainder, left_closed, right_closed, eps, em)
 def best_hilbert_partition(domain, params, order=None, cell_km=1.0):
     """Best of the four rotated curve walks by weighted average diameter.
 
-    Ties keep the earliest rotation (0, 90, 180, 270 order). Raises the
-    underlying infeasibility only when every rotation fails.
+    Ties keep the earliest rotation (0, 90, 180, 270 order). Only the kept
+    walk is validated. Feasibility is a property of the whole domain, so
+    infeasible parameters raise from the first rotation.
     """
-    best = None
-    best_w = math.inf
-    first_error = None
-    for ordering in all_rotations(domain, order, cell_km):
-        try:
-            part = partition_on_ordering(domain, ordering, params)
-        except InfeasibleParamsError as exc:
-            if first_error is None:
-                first_error = exc
-            continue
-        w = weighted_avg_diameter(domain, part.plss)
-        if w < best_w:
-            best, best_w = part, w
-    if best is None:
-        raise first_error
+    walks = (partition_on_ordering(domain, ordering, params)
+             for ordering in all_rotations(domain, order, cell_km))
+    best = min(walks, key=lambda part: weighted_avg_diameter(domain, part.plss))
+    best.validate(domain)
     return best
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import satisfies_error_bound
+from .domain import _admits
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
 __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partition"]
@@ -87,42 +87,6 @@ def _mismatch_column(domain, base_col, cluster_eps, lam):
     return base_col * weights
 
 
-# A fill decides admission from running sums and calls the exact test
-# only near the threshold. The running floor (products p_i * d(c, i)
-# summed in join order, over the summed member priors) and the exact
-# floor of satisfies_error_bound (a mat-vec over the sorted members, any
-# summation order) are each a sum of at most n non-negative products
-# divided by a sum of at most n non-negative priors. Each lies within a
-# relative (2n + 3) * 2**-53 of the real-number floor (the recursive
-# summation bound, which holds for every order and is only tightened by
-# fused multiply-adds), so the two differ by less than (4n + 6) * 2**-53:
-# under 5e-10 for every n below 10**6. The fill's margin rtol doubles that
-# and never goes below 1e-9. The bound assumes no product underflows and
-# nothing overflows: underflow costs at most n * 2**-1074 absolute, which
-# is negligible once the smallest running sum is at least 2**-900, and a
-# smaller or NaN sum, or a floor above 2**900, goes to the exact test too.
-_SUM_LOW = 2.0 ** -900
-_FLOOR_HIGH = 2.0 ** 900
-
-
-def _admit(low_sum, mass, threshold, rtol, exact):
-    """Admission from a running floor sum; exact() decides near the threshold.
-
-    low_sum is the smallest prior-weighted distance sum over candidate
-    estimates and mass the set's prior mass; a set of zero mass has no
-    floor and never passes, as in satisfies_error_bound.
-    """
-    if not mass > 0:
-        return False
-    floor = low_sum / mass
-    if _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH:
-        if floor >= threshold * (1.0 + rtol):
-            return True
-        if floor < threshold * (1.0 - rtol):
-            return False
-    return exact()
-
-
 def assign_round(domain, centers, params, personalized=False, weighted=None):
     """One greedy fill of clusters around fixed planar centers.
 
@@ -149,7 +113,6 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     dist = domain.distances
     prior_of = domain.priors.tolist()
     eps_of = domain.personal_eps.tolist() if personalized else None
-    rtol = max(1e-9, 8.0 * (n + 2) * 2.0 ** -53)
 
     base = np.linalg.norm(domain.positions[:, None, :] - centers[None, :, :], axis=2)
     live = base.copy()  # joining cost, inf on placed rows and closed columns
@@ -178,9 +141,8 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
         if join(i, j, sums[j] + prior_of[i] * dist[i]) and weighted:
             live[:, j] = _mismatch_column(domain, base[:, j], cluster_eps[j], lam)
             live[assigned, j] = np.inf
-        if len(members[j]) >= 2 and _admit(
-            float(sums[j].min()), mass[j], math.exp(cluster_eps[j]) * em, rtol,
-            lambda: satisfies_error_bound(domain, members[j], cluster_eps[j], em),
+        if len(members[j]) >= 2 and _admits(
+            domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em
         ):
             live[:, j] = np.inf
             closed += 1
@@ -199,10 +161,7 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
         for j in order:
             trial = sums[j] + row
             trial_eps = min(cluster_eps[j], eps_of[i]) if personalized else cluster_eps[j]
-            if _admit(
-                float(trial.min()), mass[j] + p, math.exp(trial_eps) * em, rtol,
-                lambda: satisfies_error_bound(domain, members[j] + [i], trial_eps, em),
-            ):
+            if _admits(domain, members[j] + [i], float(trial.min()), mass[j] + p, trial_eps, em):
                 join(i, j, trial)
                 break
         else:
@@ -210,14 +169,9 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     return members, feasible
 
 
-def _family_eps(domain, family, params, personalized):
-    if personalized:
-        return [float(domain.personal_eps[list(f)].min()) if f else None for f in family]
-    return [params.eps for _ in family]
-
-
 def _search_k(domain, params, config, k, personalized, weighted):
-    """Best feasible family over restarts and center iterations, or None.
+    """Best feasible family over restarts and center iterations, with its
+    weighted mean diameter; (None, inf) when no round is feasible.
 
     A fill depends only on its centers, so a round whose centers were
     already filled for this k (a restart meeting an earlier one, or
@@ -250,7 +204,7 @@ def _search_k(domain, params, config, k, personalized, weighted):
             centers, moved = moves[key]
             if moved < config.center_tol:
                 break
-    return best
+    return best, best_w
 
 
 def qk_partition(domain, params, config=None, personalized=False, weighted=None):
@@ -278,17 +232,16 @@ def qk_partition(domain, params, config=None, personalized=False, weighted=None)
     accepted_w = _sets_wad(domain, [everyone])
     k = 2
     while k <= domain.n // 2:
-        family = _search_k(domain, params, config, k, personalized, weighted)
-        if family is None:
-            break
-        w = _sets_wad(domain, family)
-        if w > accepted_w:
+        family, w = _search_k(domain, params, config, k, personalized, weighted)
+        if family is None or w > accepted_w:
             break
         accepted, accepted_w = family, w
         k += 1
 
-    eps_list = _family_eps(domain, accepted, params, personalized)
-    plss = tuple(Pls.build(domain, f, e) for f, e in zip(accepted, eps_list))
+    plss = tuple(
+        Pls.build(domain, f, float(domain.personal_eps[f].min()) if personalized else params.eps)
+        for f in accepted
+    )
     mode = "personalized" if personalized else "uniform"
     if personalized and not weighted:
         mode += ",unweighted"

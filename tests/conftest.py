@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from locobf import Location, LocationDomain, ObfuscationMatrix
+from locobf import Location, LocationDomain, ObfuscationMatrix, min_mean_distance
 
 
 @pytest.fixture
@@ -21,6 +23,20 @@ def line6():
     return LocationDomain(
         [Location(i, (float(i), 0.0), 1.0 / 6.0) for i in range(6)]
     )
+
+
+@pytest.fixture
+def line6_tie(line6):
+    """(eps, em) with exp(eps) * em exactly equal to line6's pair floor."""
+    eps = 0.1
+    floor = min_mean_distance(line6, [0, 1])
+    em = floor / math.exp(eps)
+    while math.exp(eps) * em < floor:
+        em = math.nextafter(em, math.inf)
+    while math.exp(eps) * em > floor:
+        em = math.nextafter(em, 0.0)
+    assert math.exp(eps) * em == floor
+    return eps, em
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from locobf import (
     PrivacyParams,
     QkConfig,
     ROTATIONS,
+    all_rotations,
     assign_personal_eps,
     best_hilbert_partition,
     build_matrix,
@@ -31,6 +32,7 @@ from locobf import (
     min_mean_distance,
     min_mean_distance_within,
     optimal_attack,
+    partition_on_ordering,
     posterior,
     qk_partition,
     quality_loss,
@@ -157,6 +159,9 @@ def test_error_floor_holds(corpus, qk_corpus):
 def test_partitions_validate(corpus, qk_corpus):
     for dom, params, part, mat in corpus.cases:
         part.validate(dom)
+        # every rotation's walk, not only the one best_hilbert_partition keeps
+        for ordering in all_rotations(dom):
+            partition_on_ordering(dom, ordering, params).validate(dom)
     for dom, params, part, pdom, ppart in qk_corpus:
         part.validate(dom)
         ppart.validate(pdom)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import locobf.domain as domain_mod
 from locobf import (
     DomainFormatError,
     Location,
@@ -19,6 +20,7 @@ from locobf import (
     save_domain,
     synth_domain,
 )
+from locobf.domain import _admits
 from reference_impls import brute_min_mean_distance
 
 
@@ -121,6 +123,73 @@ def test_zero_mass_set_has_no_floor():
         min_mean_distance(dom, [0, 1])
 
 
+def _running_floor_sum(domain, order):
+    # smallest prior-weighted distance sum and mass, summed in join order
+    sums = np.zeros(domain.n)
+    mass = 0.0
+    for i in order:
+        p = float(domain.priors[i])
+        sums += p * domain.distances[i]
+        mass += p
+    return float(sums.min()), mass
+
+
+def _ems_around(floor, eps):
+    """em values whose threshold exp(eps) * em sits just below, on and above floor."""
+    em = floor / math.exp(eps)
+    while math.exp(eps) * em < floor:
+        em = math.nextafter(em, math.inf)
+    while em > 0 and math.exp(eps) * math.nextafter(em, 0.0) >= floor:
+        em = math.nextafter(em, 0.0)
+    # em is now the smallest value whose threshold reaches the floor
+    return math.nextafter(em, 0.0), em, math.nextafter(em, math.inf)
+
+
+def test_running_floor_test_is_exact(monkeypatch):
+    """Thresholds on a set's floor and one ulp either side get the exact answer."""
+    fallbacks = []
+
+    def exact(*args):
+        fallbacks.append(args)
+        return satisfies_error_bound(*args)
+
+    monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
+    tiny = LocationDomain(  # every running sum is far below 2**-900
+        [Location(i, (i * 1e-290, 0.0), 0.25) for i in range(4)]
+    )
+    zero = LocationDomain([
+        Location(0, (0.0, 0.0), 0.0),
+        Location(1, (1.0, 0.0), 0.0),
+        Location(2, (5.0, 0.0), 1.0),
+    ])
+    cases = [(tiny, [0, 1], 1.0), (tiny, [1, 2, 3], 0.5)]
+    for s in range(8):
+        rng = np.random.default_rng([92, s])
+        dom = synth_domain(int(rng.integers(10, 60)), seed=6000 + s)
+        for _ in range(6):
+            size = int(rng.integers(2, 9))
+            members = rng.choice(dom.n, size=size, replace=False).tolist()
+            cases.append((dom, members, float(rng.choice([0.25, 1.0, 2.0]))))
+    ties = 0
+    for dom, members, eps in cases:
+        floor = min_mean_distance(dom, members)
+        for em in (0.0, *_ems_around(floor, eps)):
+            ties += math.exp(eps) * em == floor
+            want = satisfies_error_bound(dom, members, eps, em)
+            for order in (members, members[::-1]):
+                low_sum, mass = _running_floor_sum(dom, order)
+                before = len(fallbacks)
+                assert _admits(dom, members, low_sum, mass, eps, em) == want
+                if math.exp(eps) * em == floor or dom is tiny:
+                    assert len(fallbacks) == before + 1
+    assert ties >= len(cases) // 2
+    for em in (0.0, 0.1):
+        low_sum, mass = _running_floor_sum(zero, [0, 1])
+        assert mass == 0.0
+        assert _admits(zero, [0, 1], low_sum, mass, 1.0, em) is False
+        assert not satisfies_error_bound(zero, [0, 1], 1.0, em)
+
+
 def test_location_validation():
     with pytest.raises(ValueError):
         Location(0, (float("nan"), 0.0), 0.5)
@@ -160,6 +229,10 @@ def test_privacy_params():
         PrivacyParams(1.0, -0.1)
     with pytest.raises(ValueError):
         PrivacyParams(1.0, 0.1, lam=-1.0)
+    with pytest.raises(ValueError):
+        PrivacyParams(1.0, float("nan"))
+    with pytest.raises(ValueError):
+        PrivacyParams(1.0, 0.1, float("nan"))
 
 
 def test_load_domain_roundtrip(tmp_path):

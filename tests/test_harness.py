@@ -413,6 +413,7 @@ def test_wtd_command(tmp_path, capsys):
     ("--max-samp", "0"), ("--max-iter", "-1"),
     ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"),
     ("--em", "-0.1"), ("--em", "nan"), ("--lam", "-1"), ("--lam", "nan"),
+    ("--order", "-1"), ("--eps-range", "1.5,0.5"), ("--eps-range", "0,1"),
 ])
 def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value):
     code = main([
@@ -425,10 +426,23 @@ def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value
 
 @pytest.mark.parametrize("flag, value", [
     ("--tasks", "0"), ("--tasks", "-3"), ("--em", "-0.1"), ("--eps", "nan"),
+    ("--idle", "2"), ("--eps-range", "2,1"),
 ])
 def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
     code = main(["wtd", "--dataset", line6_file, "--eps", "1.0", "--em", "0.1", flag, value])
     assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "0"), ("--n", "1"), ("--grid-side", "0"),
+    ("--cell-km", "-1"), ("--cell-km", "0"), ("--cell-km", "nan"),
+    ("--eps-range", "2,1"), ("--eps-range", "0,1"), ("--eps-range", "nan,1"),
+    ("--eps-range", "1,inf"),
+])
+def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
+    argv = ["synth", "--n", "20", "--out", str(tmp_path / "x.csv"), flag, value]
+    assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
 
 

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import locobf.domain as domain_mod
+import locobf.partition as partition_mod
+import locobf.qkmeans as qkmeans_mod
 from locobf import (
     InfeasibleParamsError,
     Location,
@@ -12,6 +15,7 @@ from locobf import (
     Pls,
     PrivacyParams,
     QkConfig,
+    assign_personal_eps,
     best_hilbert_partition,
     build_matrix,
     compute_metrics,
@@ -21,10 +25,12 @@ from locobf import (
     partition_on_ordering,
     qk_partition,
     require_feasible,
+    satisfies_error_bound,
     save_partition,
     synth_domain,
     weighted_avg_diameter,
 )
+from locobf.domain import _admits
 
 
 def pair_domain(gap_a, start_b, gap_b, masses=(0.25, 0.25, 0.25, 0.25)):
@@ -127,6 +133,23 @@ def test_curve_walk_vacuous_floor(line6):
     part = partition_on_ordering(line6, order_domain(line6), PrivacyParams(1.0, 0.0))
     assert part.k == 3
     assert all(p.size == 2 for p in part.plss)
+    part.validate(line6)
+
+
+def test_curve_walk_decides_ties_exactly(line6, line6_tie, monkeypatch):
+    """A pair floor equal to exp(eps) * em is left to the exact test, and passes."""
+    eps, em = line6_tie
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return satisfies_error_bound(*args)
+
+    monkeypatch.setattr(domain_mod, "satisfies_error_bound", counting)
+    part = partition_on_ordering(line6, order_domain(line6), PrivacyParams(eps, em))
+    assert calls
+    assert [p.members for p in part.plss] == [(0, 1), (2, 3), (4, 5)]
+    part.validate(line6)
 
 
 def test_curve_walk_merges_to_single_set():
@@ -138,6 +161,7 @@ def test_curve_walk_merges_to_single_set():
     part = partition_on_ordering(dom, order_domain(dom), PrivacyParams(eps, em))
     assert part.k == 1
     assert part.plss[0].members == tuple(range(5))
+    part.validate(dom)
 
 
 def test_curve_walk_infeasible():
@@ -152,24 +176,67 @@ def test_best_hilbert_picks_rotation_zero_on_ties(line6):
 
 
 def test_best_hilbert_never_worse_than_any_rotation():
-    dom = synth_domain(50, seed=21)
-    params = PrivacyParams(1.0, 0.1)
-    best = best_hilbert_partition(dom, params)
-    best.validate(dom)
+    """The kept walk is no worse than any rotation, and every rotation's walk is valid.
+
+    The domains add the criterion 7 seeds and the walk domains of
+    test_mechanism.py and test_adversary.py, because best_hilbert_partition
+    validates only the walk it keeps.
+    """
     from locobf import all_rotations
 
-    for ordering in all_rotations(dom):
-        single = partition_on_ordering(dom, ordering, params)
-        assert (
-            weighted_avg_diameter(dom, best.plss)
-            <= weighted_avg_diameter(dom, single.plss) + 1e-12
-        )
+    cases = [(50, 21, 1.0, 0.1)] + [(50, 3000 + i, 1.0, 0.1) for i in range(20)]
+    cases += [(30, 6, 1.0, 0.1), (40, 3, 1.0, 0.1), (25, 9, 0.5, 0.05)]
+    for n, seed, eps, em in cases:
+        dom = synth_domain(n, seed=seed)
+        params = PrivacyParams(eps, em)
+        best = best_hilbert_partition(dom, params)
+        best.validate(dom)
+        for ordering in all_rotations(dom):
+            single = partition_on_ordering(dom, ordering, params)
+            single.validate(dom)
+            assert (
+                weighted_avg_diameter(dom, best.plss)
+                <= weighted_avg_diameter(dom, single.plss) + 1e-12
+            )
 
 
 def test_best_hilbert_propagates_infeasibility():
     dom = pair_domain(1.0, 2.0, 1.0)
     with pytest.raises(InfeasibleParamsError):
         best_hilbert_partition(dom, PrivacyParams(1.0, 10.0))
+
+
+def test_partitioners_admit_exactly(monkeypatch):
+    """Every running-floor decision of both partitioners equals the exact test."""
+    agree = []
+
+    def checked(domain, members, low_sum, mass, eps_region, em):
+        got = _admits(domain, members, low_sum, mass, eps_region, em)
+        agree.append(got == satisfies_error_bound(domain, members, eps_region, em))
+        return got
+
+    for mod in (partition_mod, qkmeans_mod):
+        monkeypatch.setattr(mod, "_admits", checked)
+    runs = {
+        "walk": lambda dom, params, config: best_hilbert_partition(dom, params),
+        "qk": lambda dom, params, config: qk_partition(dom, params, config),
+        "qk-personalized": lambda dom, params, config: qk_partition(
+            assign_personal_eps(dom, 0.5, 1.5, seed=config.seed), params, config,
+            personalized=True,
+        ),
+    }
+    counts = dict.fromkeys(runs, 0)
+    for s in range(20):
+        rng = np.random.default_rng([93, s])
+        dom = synth_domain(int(rng.integers(20, 41)), seed=8000 + s)
+        params = PrivacyParams(float(rng.choice([0.5, 1.0, 2.0])),
+                               float(rng.choice([0.05, 0.1, 0.2])))
+        for label, run in runs.items():
+            before = len(agree)
+            run(dom, params, QkConfig(max_samp=2, max_iter=20, seed=s))
+            counts[label] += len(agree) - before
+    assert all(agree)
+    assert min(counts.values()) > 100, counts
 
 
 def test_partition_roundtrip(tmp_path):

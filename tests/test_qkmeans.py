@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import locobf.qkmeans as qkmeans
+import locobf.domain as domain_mod
 from locobf import (
     InfeasibleParamsError,
     Location,
@@ -13,7 +13,6 @@ from locobf import (
     assign_personal_eps,
     assign_round,
     eps_weight,
-    min_mean_distance,
     qk_partition,
     satisfies_error_bound,
     seed_centers,
@@ -214,23 +213,16 @@ def test_seed_centers_matches_reference():
             assert np.array_equal(got, want)
 
 
-def test_assign_round_decides_ties_exactly(line6, monkeypatch):
+def test_assign_round_decides_ties_exactly(line6, line6_tie, monkeypatch):
     """A floor equal to exp(eps) * em is left to the exact test, and passes."""
-    eps = 0.1
-    floor = min_mean_distance(line6, [0, 1])
-    em = floor / math.exp(eps)
-    while math.exp(eps) * em < floor:
-        em = math.nextafter(em, math.inf)
-    while math.exp(eps) * em > floor:
-        em = math.nextafter(em, 0.0)
-    assert math.exp(eps) * em == floor
+    eps, em = line6_tie
     calls = []
 
     def counting(*args):
         calls.append(args)
         return satisfies_error_bound(*args)
 
-    monkeypatch.setattr(qkmeans, "satisfies_error_bound", counting)
+    monkeypatch.setattr(domain_mod, "satisfies_error_bound", counting)
     params = PrivacyParams(eps, em)
     centers = np.array([[0.5, 0.0], [2.5, 0.0], [4.5, 0.0]])
     members, feasible = assign_round(line6, centers, params)
