@@ -6,6 +6,8 @@ through an exponential matrix calibrated per set, and evaluate the
 result against a Bayesian adversary.
 """
 
+import importlib
+
 from .adversary import (
     MetricsReport,
     avg_error,
@@ -54,6 +56,7 @@ from .mechanism import (
     load_matrix_rows,
     sample_pseudo,
     save_matrix,
+    worker_travel_distance,
 )
 from .partition import (
     Partition,
@@ -66,12 +69,16 @@ from .partition import (
     weighted_avg_diameter,
 )
 from .qkmeans import QkConfig, assign_round, eps_weight, qk_partition, seed_centers
-from .cli import (
-    SweepConfig,
-    aggregate_cells,
-    parse_sweep_config,
-    run_sweep,
-    worker_travel_distance,
-)
 
 __version__ = "0.1.0"
+
+# Resolved on first use (PEP 562), so that importing the package does not
+# import cli, and `python -m locobf.cli` runs a module not yet imported.
+_CLI_NAMES = ("SweepConfig", "aggregate_cells", "parse_sweep_config", "run_sweep")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,8 +28,8 @@ from .mechanism import (
     ObfuscationMatrix,
     build_matrix,
     build_matrix_constant,
-    sample_pseudo,
     save_matrix,
+    worker_travel_distance,
 )
 from .partition import (
     best_hilbert_partition,
@@ -88,6 +88,7 @@ _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_float = _checked(float, lambda v: v > 0, "> 0")
 _nonneg_float = _checked(float, lambda v: v >= 0, ">= 0")
+_finite_nonneg_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
 def _float_pair(text):
@@ -163,6 +164,8 @@ def _matrix_for(domain, algorithm, params, seed, order=None, qk_config=None,
 
 
 def cmd_synth(args):
+    if args.prior_low > args.prior_high:
+        raise _UsageError("need --prior-low <= --prior-high")
     domain = synth_domain(args.n, args.cell_km, args.prior_low, args.prior_high,
                           args.seed, args.grid_side)
     if args.eps_range is not None:
@@ -390,36 +393,6 @@ def cmd_sweep(args):
     return 0
 
 
-def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
-    """Mean distance from assigned workers to their tasks.
-
-    Idle workers are a uniform sample of locations; each reports one
-    pseudo-location drawn from the matrix. Every task takes the three
-    idle workers nearest by reported position (ties by worker id) and
-    scores the mean distance from their actual positions; tasks are
-    independent, so one worker may serve several.
-    """
-    tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
-    if tasks.shape[1] != 2:
-        raise ValueError("tasks must be planar positions")
-    if len(tasks) == 0:
-        raise ValueError("need at least one task")
-    if idle_count < 3:
-        raise ValueError("need at least 3 idle workers")
-    if idle_count > domain.n:
-        raise ValueError("idle_count exceeds the number of workers")
-    idle = np.sort(rng.choice(domain.n, size=idle_count, replace=False))
-    reports = np.array([sample_pseudo(matrix, int(w), rng) for w in idle])
-    reported = domain.positions[reports]
-    actual = domain.positions[idle]
-    totals = []
-    for task in tasks:
-        by_report = np.linalg.norm(reported - task, axis=1)
-        chosen = np.lexsort((idle, by_report))[:3]
-        totals.append(float(np.linalg.norm(actual[chosen] - task, axis=1).mean()))
-    return float(np.mean(totals))
-
-
 def cmd_wtd(args):
     domain = load_domain(args.dataset)
     params = PrivacyParams(args.eps, args.em, args.lam)
@@ -455,8 +428,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--n", type=_checked(int, lambda v: v >= 2, ">= 2"), required=True)
     p.add_argument("--cell-km", type=_positive_float, default=1.0, dest="cell_km")
-    p.add_argument("--prior-low", type=float, default=0.01, dest="prior_low")
-    p.add_argument("--prior-high", type=float, default=0.03, dest="prior_high")
+    p.add_argument("--prior-low", type=_finite_nonneg_float, default=0.01, dest="prior_low")
+    p.add_argument("--prior-high", type=_finite_nonneg_float, default=0.03, dest="prior_high")
     p.add_argument("--grid-side", type=_positive_int, default=16, dest="grid_side")
     p.add_argument("--eps-range", type=_float_pair, default=None, dest="eps_range",
                    help="add per-location budgets drawn uniformly from LO,HI")

@@ -365,8 +365,8 @@ def synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0, grid_s
         raise ValueError(f"grid of side {grid_side} has fewer than {n} cells")
     if not cell_km > 0:
         raise ValueError("cell_km must be > 0")
-    if prior_low < 0 or prior_high < prior_low:
-        raise ValueError("need 0 <= prior_low <= prior_high")
+    if not 0 <= prior_low <= prior_high < math.inf:
+        raise ValueError("need 0 <= prior_low <= prior_high < inf")
     rng = np.random.default_rng(seed)
     flat = rng.choice(grid_side * grid_side, size=n, replace=False)
     xs = (flat % grid_side + 0.5) * cell_km

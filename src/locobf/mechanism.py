@@ -17,9 +17,13 @@ __all__ = [
     "build_matrix",
     "build_matrix_constant",
     "sample_pseudo",
+    "worker_travel_distance",
     "save_matrix",
     "load_matrix_rows",
 ]
+
+# Generator.choice's tolerance on the total of a float64 probability row
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class ObfuscationMatrix:
             raise ValueError("probabilities must be finite")
         if np.abs(totals - 1.0).max() > 1e-9:
             raise ValueError("every row must sum to 1 within 1e-9")
+        rows = rows.view()
+        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -112,6 +118,30 @@ def build_matrix_constant(domain, d_const, eps):
     return _exp_rows(domain, [(slice(None), d_const, eps)])
 
 
+def _draw(rows, rng, size=None):
+    """Ids drawn by inverse CDF exactly as Generator.choice(n, size, p=row) draws them.
+
+    For one row (1-D) the draw has the given size; for a block of rows
+    (2-D) it is one id per row, from one rng.random(len(rows)) call,
+    which yields the same doubles as that many single calls. Either way
+    the rng stream and every id equal choice's. choice's row checks are
+    kept, with each row total read from the cumulative sum.
+    """
+    if rows.min() < 0:
+        raise ValueError("probabilities must be >= 0")
+    cdf = rows.cumsum(axis=-1)
+    total = cdf[..., -1:]
+    # a NaN or infinite entry (negatives ruled out) makes its total fail this bound too
+    worst = abs(cdf[-1] - 1.0) if rows.ndim == 1 else np.abs(total - 1.0).max()
+    if not worst <= _CHOICE_ATOL:
+        raise ValueError("probabilities must be finite and sum to 1")
+    cdf /= total
+    if rows.ndim == 1:
+        return cdf.searchsorted(rng.random(size), side="right")
+    # the count of cdf <= u is searchsorted(cdf, u, side="right") on each row
+    return np.count_nonzero(cdf <= rng.random(len(rows))[:, None], axis=1)
+
+
 def sample_pseudo(matrix, true_id, rng, size=None):
     """Draw pseudo-location ids from the row of true_id.
 
@@ -119,10 +149,51 @@ def sample_pseudo(matrix, true_id, rng, size=None):
     """
     if not 0 <= true_id < matrix.n:
         raise ValueError(f"unknown location id {true_id}")
-    draw = rng.choice(matrix.n, size=size, p=matrix.rows[true_id])
+    draw = _draw(matrix.rows[true_id], rng, size)
     if size is None:
         return int(draw)
     return draw
+
+
+def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
+    """Mean distance from assigned workers to their tasks.
+
+    Idle workers are a uniform sample of locations; each reports one
+    pseudo-location drawn from the matrix. Every task takes the three
+    idle workers nearest by reported position (ties by worker id) and
+    scores the mean distance from their actual positions; tasks are
+    independent, so one worker may serve several.
+    """
+    tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
+    if tasks.shape[1] != 2:
+        raise ValueError("tasks must be planar positions")
+    if len(tasks) == 0:
+        raise ValueError("need at least one task")
+    if not np.isfinite(tasks).all():
+        raise ValueError("task positions must be finite")
+    if idle_count < 3:
+        raise ValueError("need at least 3 idle workers")
+    if idle_count > domain.n:
+        raise ValueError("idle_count exceeds the number of workers")
+    idle = np.sort(rng.choice(domain.n, size=idle_count, replace=False))
+    reported = domain.positions[_draw(matrix.rows[idle], rng)]
+    dx = reported[:, 0] - tasks[:, :1]
+    dy = reported[:, 1] - tasks[:, 1:]
+    # tasks x idle workers; the same floats as np.linalg.norm over each (dx, dy)
+    by_report = np.sqrt(dx * dx + dy * dy)
+    # the three nearest by (distance, worker id); idle is sorted, so id order is column order
+    third = np.partition(by_report, 2, axis=1)[:, 2:3]
+    closer = by_report < third
+    tied = by_report == third
+    chosen = closer | (tied & (tied.cumsum(axis=1) <= 3 - closer.sum(axis=1, keepdims=True)))
+    picks = np.nonzero(chosen)[1].reshape(-1, 3)
+    order = np.argsort(np.take_along_axis(by_report, picks, axis=1), axis=1, kind="stable")
+    picks = np.take_along_axis(picks, order, axis=1)
+    off = domain.positions[idle[picks]] - tasks[:, None, :]
+    to_task = np.sqrt(off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1])
+    # summed in chosen order, as a three-element mean() sums
+    totals = (to_task[:, 0] + to_task[:, 1] + to_task[:, 2]) / 3
+    return float(np.mean(totals))
 
 
 def save_matrix(matrix, stream):

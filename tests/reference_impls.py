@@ -3,8 +3,10 @@
 The metric references are pure Python over scalar floats so the
 arithmetic path shares nothing with the package's vectorized code. The
 qk fill reference keeps the original numpy fill, which decides every
-admission with the exact test. Used to cross-check the optimized
-versions on fixtures and random instances.
+admission with the exact test, and the sampler and task-assignment
+references keep the original Generator.choice draw and per-task loop.
+Used to cross-check the optimized versions on fixtures and random
+instances.
 """
 
 import math
@@ -215,3 +217,36 @@ def reference_feasible(domain, family, params, personalized):
         if len(f) < 2 or not satisfies_error_bound(domain, f, eps, params.em):
             return False
     return True
+
+
+def reference_sample_pseudo(matrix, true_id, rng, size=None):
+    # the original sampler: Generator.choice with the row as p
+    if not 0 <= true_id < matrix.n:
+        raise ValueError(f"unknown location id {true_id}")
+    draw = rng.choice(matrix.n, size=size, p=matrix.rows[true_id])
+    if size is None:
+        return int(draw)
+    return draw
+
+
+def reference_worker_travel_distance(domain, matrix, tasks, idle_count, rng):
+    # the original per-task loop: one draw per idle worker, one lexsort per task
+    tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
+    if tasks.shape[1] != 2:
+        raise ValueError("tasks must be planar positions")
+    if len(tasks) == 0:
+        raise ValueError("need at least one task")
+    if idle_count < 3:
+        raise ValueError("need at least 3 idle workers")
+    if idle_count > domain.n:
+        raise ValueError("idle_count exceeds the number of workers")
+    idle = np.sort(rng.choice(domain.n, size=idle_count, replace=False))
+    reports = np.array([reference_sample_pseudo(matrix, int(w), rng) for w in idle])
+    reported = domain.positions[reports]
+    actual = domain.positions[idle]
+    totals = []
+    for task in tasks:
+        by_report = np.linalg.norm(reported - task, axis=1)
+        chosen = np.lexsort((idle, by_report))[:3]
+        totals.append(float(np.linalg.norm(actual[chosen] - task, axis=1).mean()))
+    return float(np.mean(totals))

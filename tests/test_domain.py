@@ -289,6 +289,15 @@ def test_synth_domain():
         synth_domain(300, grid_side=16)  # only 256 cells
 
 
+@pytest.mark.parametrize("low, high", [
+    (-0.5, 0.03), (0.05, 0.01), (0.01, math.nan), (math.nan, 0.03), (0.01, math.inf),
+    (math.inf, math.inf),
+])
+def test_synth_domain_rejects_bad_prior_range(low, high):
+    with pytest.raises(ValueError, match="prior_low <= prior_high"):
+        synth_domain(10, prior_low=low, prior_high=high)
+
+
 def test_assign_personal_eps():
     dom = synth_domain(20, seed=1)
     assert dom.personal_eps is None

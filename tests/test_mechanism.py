@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from locobf import (
+    InfeasibleParamsError,
     Location,
     LocationDomain,
     ObfuscationMatrix,
@@ -18,7 +19,9 @@ from locobf import (
     sample_pseudo,
     save_matrix,
     synth_domain,
+    worker_travel_distance,
 )
+from reference_impls import reference_sample_pseudo, reference_worker_travel_distance
 
 
 @pytest.fixture
@@ -212,3 +215,114 @@ def test_hand_built_matrix_validation():
         ObfuscationMatrix(np.array([[np.nan, np.nan], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="finite"):
         ObfuscationMatrix(np.array([[np.inf, 0.0], [0.5, 0.5]]))
+
+
+def test_rows_are_a_read_only_view():
+    base = np.eye(3)
+    m = ObfuscationMatrix(base)
+    with pytest.raises(ValueError, match="read-only"):
+        m.rows[0, 0] = 1
+    assert np.shares_memory(m.rows, base)
+    base[1] = [0.0, 0.5, 0.5]  # the caller's array stays writable
+    assert m.rows[1, 2] == 0.5
+
+
+@pytest.mark.parametrize("broken", [
+    [-1.0, 1.0, 1.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [0.5, 0.5 + 2e-8, 0.0],
+])
+def test_sampler_rechecks_rows_broken_through_the_base(broken):
+    """A row that Generator.choice refuses is refused by both draw paths."""
+    base = np.eye(3)
+    m = ObfuscationMatrix(base)
+    base[0] = broken
+    dom = synth_domain(3, seed=0)
+    with pytest.raises(ValueError):
+        reference_sample_pseudo(m, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_pseudo(m, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        worker_travel_distance(dom, m, [[0.0, 0.0]], 3, np.random.default_rng(0))
+
+
+def _release_matrices(dom, params):
+    mats = [ObfuscationMatrix(np.eye(dom.n)), build_matrix_constant(dom, 2.0, 1.0)]
+    try:
+        mats.append(build_matrix(dom, best_hilbert_partition(dom, params)))
+    except (InfeasibleParamsError, ValueError):
+        pass  # no walk, or a zero-diameter set
+    return mats
+
+
+def _assert_same_draws(matrix, true_id, seed, size):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_pseudo(matrix, true_id, rng, size=size)
+    want = reference_sample_pseudo(matrix, true_id, ref, size=size)
+    if size is None:
+        assert type(got) is int and got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert rng.random() == ref.random()
+
+
+def _assert_same_wtd(dom, matrix, tasks, idle_count, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = worker_travel_distance(dom, matrix, tasks, idle_count, rng)
+    assert got == reference_worker_travel_distance(dom, matrix, tasks, idle_count, ref)
+    assert rng.random() == ref.random()
+
+
+def _grid_tasks(rng, side, count):
+    # cell centres, edge midpoints and corners: often equidistant from several reports
+    return rng.integers(0, 2 * side + 1, size=(count, 2)) / 2.0
+
+
+def test_sampler_equals_choice_draws():
+    for seed in range(12):
+        dom = synth_domain(10 + 3 * seed, seed=seed, grid_side=8)
+        for mi, m in enumerate(_release_matrices(dom, PrivacyParams(1.0, 0.2))):
+            for size in (None, 0, 1, 7, (2, 3), (4, 1, 2)):
+                for true_id in (0, dom.n // 2, dom.n - 1):
+                    _assert_same_draws(m, true_id, [seed, mi, true_id], size)
+
+
+def test_wtd_equals_the_per_task_loop_on_grid_domains():
+    ties = 0
+    for seed in range(200):
+        side = 6 + seed % 3
+        dom = synth_domain(8 + seed % 29, seed=seed, grid_side=side)
+        tasks = _grid_tasks(np.random.default_rng([seed, 1]), side, 25)
+        for mi, m in enumerate(_release_matrices(dom, PrivacyParams(1.0, 0.2))):
+            for idle_count in (3, dom.n // 2 + 2, dom.n):
+                _assert_same_wtd(dom, m, tasks, idle_count, [seed, mi, idle_count])
+        # tasks x locations; a tie between the third and fourth nearest location
+        to_task = np.hypot(*(dom.positions[None, :, :] - tasks[:, None, :]).transpose(2, 0, 1))
+        nearest = np.sort(to_task, axis=1)
+        ties += int((nearest[:, 2] == nearest[:, 3]).sum())
+    assert ties > 1000  # the third-nearest choice is often decided by worker id
+
+
+def test_wtd_equals_the_per_task_loop_with_duplicate_positions():
+    spots = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    dom = LocationDomain([Location(i, spots[i % 4], 1.0 + i % 3) for i in range(14)])
+    tasks = _grid_tasks(np.random.default_rng(3), 1, 40)
+    for mi, m in enumerate(_release_matrices(dom, PrivacyParams(1.0, 0.05))):
+        for idle_count in (3, 7, dom.n):
+            for seed in range(10):
+                _assert_same_wtd(dom, m, tasks, idle_count, [mi, idle_count, seed])
+
+
+def test_wtd_breaks_equal_distances_by_worker_id():
+    # workers 0..3 sit 1 km from the task; the lowest three ids serve it
+    dom = LocationDomain([
+        Location(0, (1.0, 0.0), 0.2), Location(1, (0.0, 1.0), 0.2),
+        Location(2, (-1.0, 0.0), 0.2), Location(3, (0.0, -1.0), 0.2),
+        Location(4, (3.0, 3.0), 0.2),
+    ])
+    ident = ObfuscationMatrix(np.eye(5))
+    task = [[0.0, 0.0]]
+    assert worker_travel_distance(dom, ident, task, 5, np.random.default_rng(0)) == 1.0
+    for seed in range(20):
+        for idle_count in (3, 4, 5):
+            _assert_same_wtd(dom, ident, task, idle_count, seed)
+            _assert_same_wtd(dom, build_matrix_constant(dom, 4.0, 1.0), task, idle_count, seed)
