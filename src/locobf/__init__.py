@@ -25,12 +25,10 @@ from .adversary import (
 from .domain import (
     DomainFormatError,
     InfeasibleParamsError,
-    Location,
     LocationDomain,
     PrivacyParams,
     assign_personal_eps,
     diameter,
-    distance,
     load_domain,
     min_mean_distance,
     min_mean_distance_within,

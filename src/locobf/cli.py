@@ -24,6 +24,7 @@ from .domain import (
     save_domain,
     synth_domain,
 )
+from .hilbert import MAX_ORDER
 from .mechanism import (
     ObfuscationMatrix,
     build_matrix,
@@ -86,9 +87,9 @@ def _checked(cast, ok, requirement):
 
 _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_positive_float = _checked(float, lambda v: v > 0, "> 0")
-_nonneg_float = _checked(float, lambda v: v >= 0, ">= 0")
-_finite_nonneg_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_nonneg_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_order = _checked(int, lambda v: 0 <= v <= MAX_ORDER, f"between 0 and {MAX_ORDER}")
 
 
 def _float_pair(text):
@@ -248,10 +249,10 @@ class SweepConfig:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
         # checked up front: cells that share a result never build their own params
-        if not all(eps > 0 for eps in self.eps_values):
-            raise ValueError("eps_values must be > 0")
-        if not all(em >= 0 for em in self.em_values):
-            raise ValueError("em_values must be >= 0")
+        if not all(0 < eps < math.inf for eps in self.eps_values):
+            raise ValueError("eps_values must be finite and > 0")
+        if not all(0 <= em < math.inf for em in self.em_values):
+            raise ValueError("em_values must be finite and >= 0")
 
 
 def parse_sweep_config(source):
@@ -428,8 +429,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--n", type=_checked(int, lambda v: v >= 2, ">= 2"), required=True)
     p.add_argument("--cell-km", type=_positive_float, default=1.0, dest="cell_km")
-    p.add_argument("--prior-low", type=_finite_nonneg_float, default=0.01, dest="prior_low")
-    p.add_argument("--prior-high", type=_finite_nonneg_float, default=0.03, dest="prior_high")
+    p.add_argument("--prior-low", type=_nonneg_float, default=0.01, dest="prior_low")
+    p.add_argument("--prior-high", type=_nonneg_float, default=0.03, dest="prior_high")
     p.add_argument("--grid-side", type=_positive_int, default=16, dest="grid_side")
     p.add_argument("--eps-range", type=_float_pair, default=None, dest="eps_range",
                    help="add per-location budgets drawn uniformly from LO,HI")
@@ -442,7 +443,7 @@ def build_parser():
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--em", type=_nonneg_float, required=True)
     p.add_argument("--lam", type=_nonneg_float, default=0.5)
-    p.add_argument("--order", type=_nonneg_int, default=None, help="Hilbert grid order override")
+    p.add_argument("--order", type=_order, default=None, help="Hilbert grid order override")
     p.add_argument("--max-samp", type=_positive_int, default=10, dest="max_samp")
     p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,

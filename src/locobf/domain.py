@@ -16,10 +16,8 @@ import numpy as np
 __all__ = [
     "DomainFormatError",
     "InfeasibleParamsError",
-    "Location",
     "LocationDomain",
     "PrivacyParams",
-    "distance",
     "diameter",
     "prior_mass",
     "min_mean_distance",
@@ -56,60 +54,43 @@ class InfeasibleParamsError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Location:
-    """One discrete cell: id, planar position in km, prior mass, optional budget."""
-
-    id: int
-    pos: tuple[float, float]
-    prior: float
-    eps: float | None = None
-
-    def __post_init__(self):
-        x, y = self.pos
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"location {self.id}: coordinates must be finite")
-        if not math.isfinite(self.prior) or self.prior < 0:
-            raise ValueError(f"location {self.id}: prior must be finite and >= 0")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError(f"location {self.id}: eps must be > 0")
-
-
 class LocationDomain:
-    """Finite location set with a normalized prior.
+    """Finite location set with a normalized prior, held as arrays.
 
-    Locations are sorted so that ``locations[i].id == i`` and priors are
-    rescaled to sum to one on construction (input masses only need a
-    positive total). Instances are immutable after construction; the
-    cached arrays are marked read-only so they can be shared freely.
+    Row i of ``positions`` (km) and entry i of ``priors`` describe
+    location id i. Priors are rescaled to sum to one (input masses only
+    need a positive total); ``personal_eps``, when given, holds one
+    finite budget > 0 per location. The stored arrays are read-only
+    copies, so instances can be shared freely.
     """
 
-    def __init__(self, locations):
-        locs = sorted(locations, key=lambda loc: loc.id)
-        n = len(locs)
-        if n < 1:
-            raise ValueError("domain needs at least one location")
-        if [loc.id for loc in locs] != list(range(n)):
-            raise ValueError("location ids must be exactly 0..n-1 with no duplicates")
-        with_eps = [loc.eps is not None for loc in locs]
-        if any(with_eps) and not all(with_eps):
-            raise ValueError("personal eps must be set for every location or none")
-        total = float(sum(loc.prior for loc in locs))
+    def __init__(self, positions, priors, personal_eps=None):
+        positions = np.array(positions, dtype=float)
+        priors = np.array(priors, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2 or len(positions) < 1:
+            raise ValueError("positions must have shape (n, 2) with n >= 1")
+        n = len(positions)
+        if priors.shape != (n,):
+            raise ValueError(f"priors must have shape ({n},)")
+        if not np.isfinite(positions).all():
+            raise ValueError("coordinates must be finite")
+        if not (np.isfinite(priors) & (priors >= 0)).all():
+            raise ValueError("priors must be finite and >= 0")
+        # summed in row order: np.sum's pairwise order can move the priors' last bits
+        total = sum(priors.tolist())
         if not total > 0:
             raise ValueError("priors must have positive total mass")
-        self.locations = tuple(
-            Location(loc.id, (float(loc.pos[0]), float(loc.pos[1])),
-                     loc.prior / total, loc.eps)
-            for loc in locs
-        )
-        self.positions = np.array([loc.pos for loc in self.locations], dtype=float)
-        self.priors = np.array([loc.prior for loc in self.locations], dtype=float)
-        if all(with_eps):
-            self.personal_eps = np.array([loc.eps for loc in self.locations], dtype=float)
-        else:
-            self.personal_eps = None
-        dx = self.positions[:, 0][:, None] - self.positions[:, 0][None, :]
-        dy = self.positions[:, 1][:, None] - self.positions[:, 1][None, :]
+        if personal_eps is not None:
+            personal_eps = np.array(personal_eps, dtype=float)
+            if personal_eps.shape != (n,):
+                raise ValueError(f"personal eps must have shape ({n},)")
+            if not (np.isfinite(personal_eps) & (personal_eps > 0)).all():
+                raise ValueError("personal eps must be finite and > 0")
+        self.positions = positions
+        self.priors = priors / total
+        self.personal_eps = personal_eps
+        dx = positions[:, 0][:, None] - positions[:, 0][None, :]
+        dy = positions[:, 1][:, None] - positions[:, 1][None, :]
         self.distances = np.hypot(dx, dy)
         for arr in (self.positions, self.priors, self.distances, self.personal_eps):
             if arr is not None:
@@ -117,7 +98,7 @@ class LocationDomain:
 
     @property
     def n(self):
-        return len(self.locations)
+        return len(self.positions)
 
     @property
     def ids(self):
@@ -137,17 +118,12 @@ class PrivacyParams:
     lam: float = 0.5
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
-        if not self.em >= 0:
-            raise ValueError("em must be >= 0")
-        if not self.lam >= 0:
-            raise ValueError("lam must be >= 0")
-
-
-def distance(a, b):
-    """Euclidean distance in km between two locations."""
-    return math.hypot(a.pos[0] - b.pos[0], a.pos[1] - b.pos[1])
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and > 0")
+        if not 0 <= self.em < math.inf:
+            raise ValueError("em must be finite and >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
 
 
 def _member_indices(domain, members):
@@ -293,8 +269,7 @@ def load_domain(source):
             "line 1: header must be id,x_km,y_km,prior with optional eps column"
         )
     has_eps = len(header) == 5
-    locs = []
-    seen = set()
+    rows = {}  # id -> (x, y, prior, eps)
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -306,9 +281,8 @@ def load_domain(source):
             prior = float(row[3])
         except ValueError:
             raise DomainFormatError(f"line {lineno}: malformed numeric field") from None
-        if loc_id in seen:
+        if loc_id in rows:
             raise DomainFormatError(f"line {lineno}: duplicate id {loc_id}")
-        seen.add(loc_id)
         if prior < 0:
             raise DomainFormatError(f"line {lineno}: prior must be >= 0")
         eps = None
@@ -320,16 +294,25 @@ def load_domain(source):
                 eps = float(cell)
             except ValueError:
                 raise DomainFormatError(f"line {lineno}: malformed eps value") from None
-            if not eps > 0:
-                raise DomainFormatError(f"line {lineno}: eps must be > 0")
-        try:
-            locs.append(Location(loc_id, (x, y), prior, eps))
-        except ValueError as exc:
-            raise DomainFormatError(f"line {lineno}: {exc}") from None
-    if len(locs) < 2:
+            if not 0 < eps < math.inf:
+                raise DomainFormatError(f"line {lineno}: eps must be finite and > 0")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainFormatError(
+                f"line {lineno}: location {loc_id}: coordinates must be finite"
+            )
+        if not math.isfinite(prior):
+            raise DomainFormatError(
+                f"line {lineno}: location {loc_id}: prior must be finite and >= 0"
+            )
+        rows[loc_id] = (x, y, prior, eps)
+    n = len(rows)
+    if n < 2:
         raise DomainFormatError("dataset must contain at least 2 locations")
+    if sorted(rows) != list(range(n)):
+        raise DomainFormatError("location ids must be exactly 0..n-1")
+    xs, ys, priors, budgets = zip(*(rows[i] for i in range(n)))
     try:
-        return LocationDomain(locs)
+        return LocationDomain(np.column_stack([xs, ys]), priors, budgets if has_eps else None)
     except ValueError as exc:
         raise DomainFormatError(str(exc)) from None
 
@@ -344,12 +327,12 @@ def save_domain(domain, stream):
             save_domain(domain, fh)
         return
     writer = csv.writer(stream, lineterminator="\n")
-    has_eps = domain.personal_eps is not None
-    writer.writerow(_HEADER + (["eps"] if has_eps else []))
-    for loc in domain.locations:
-        row = [loc.id, f"{loc.pos[0]:.12g}", f"{loc.pos[1]:.12g}", f"{loc.prior:.12g}"]
-        if has_eps:
-            row.append(f"{loc.eps:.12g}")
+    eps = domain.personal_eps
+    writer.writerow(_HEADER + ([] if eps is None else ["eps"]))
+    for i, ((x, y), prior) in enumerate(zip(domain.positions.tolist(), domain.priors.tolist())):
+        row = [i, f"{x:.12g}", f"{y:.12g}", f"{prior:.12g}"]
+        if eps is not None:
+            row.append(f"{eps[i]:.12g}")
         writer.writerow(row)
 
 
@@ -363,8 +346,8 @@ def synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0, grid_s
         raise ValueError("n must be >= 2")
     if grid_side < 1 or n > grid_side * grid_side:
         raise ValueError(f"grid of side {grid_side} has fewer than {n} cells")
-    if not cell_km > 0:
-        raise ValueError("cell_km must be > 0")
+    if not 0 < cell_km < math.inf:
+        raise ValueError("cell_km must be finite and > 0")
     if not 0 <= prior_low <= prior_high < math.inf:
         raise ValueError("need 0 <= prior_low <= prior_high < inf")
     rng = np.random.default_rng(seed)
@@ -372,21 +355,13 @@ def synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0, grid_s
     xs = (flat % grid_side + 0.5) * cell_km
     ys = (flat // grid_side + 0.5) * cell_km
     priors = rng.uniform(prior_low, prior_high, size=n)
-    if not priors.sum() > 0:
-        # all-zero draw is only possible when prior_low == prior_high == 0
-        raise ValueError("drawn priors have zero total mass")
-    locs = [Location(i, (float(xs[i]), float(ys[i])), float(priors[i])) for i in range(n)]
-    return LocationDomain(locs)
+    return LocationDomain(np.column_stack([xs, ys]), priors)
 
 
 def assign_personal_eps(domain, low, high, seed):
     """Copy of the domain with per-location budgets drawn U[low, high]."""
-    if not 0 < low <= high:
-        raise ValueError("need 0 < low <= high")
+    if not 0 < low <= high < math.inf:
+        raise ValueError("need 0 < low <= high < inf")
     rng = np.random.default_rng(seed)
     eps = rng.uniform(low, high, size=domain.n)
-    locs = [
-        Location(loc.id, loc.pos, loc.prior, float(eps[i]))
-        for i, loc in enumerate(domain.locations)
-    ]
-    return LocationDomain(locs)
+    return LocationDomain(domain.positions, domain.priors, eps)

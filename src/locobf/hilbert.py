@@ -9,8 +9,11 @@ the snapped cells about the grid center before ranking.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ROTATIONS",
+    "MAX_ORDER",
     "HilbertOrdering",
     "hilbert_rank",
     "hilbert_cell",
@@ -21,28 +24,40 @@ __all__ = [
 ]
 
 ROTATIONS = (0, 90, 180, 270)
+# ranks of an order-m walk stay below 4**m, which int64 holds up to m = 31
+MAX_ORDER = 31
+
+
+def _side(order):
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
+    return 1 << order
 
 
 def hilbert_rank(cell_x, cell_y, order):
-    """Index of cell (cell_x, cell_y) along the order-``order`` Hilbert walk."""
-    side = 1 << order
-    if not (0 <= cell_x < side and 0 <= cell_y < side):
+    """Index of cell (cell_x, cell_y) along the order-``order`` Hilbert walk.
+
+    Takes ints or equal-shaped int arrays; returns an int or an int64 array.
+    """
+    side = _side(order)
+    x, y = np.asarray(cell_x), np.asarray(cell_y)
+    if ((x < 0) | (x >= side) | (y < 0) | (y >= side)).any():
         raise ValueError(f"cell ({cell_x}, {cell_y}) outside the {side}x{side} grid")
-    x, y = cell_x, cell_y
-    rank = 0
+    x, y = x.astype(np.int64), y.astype(np.int64)
+    rank = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
     s = side >> 1
     while s > 0:
-        rx = 1 if x & s else 0
-        ry = 1 if y & s else 0
+        rx = (x & s) // s
+        ry = (y & s) // s
         rank += s * s * ((3 * rx) ^ ry)
         x, y = _fold(side, x, y, rx, ry)
         s >>= 1
-    return rank
+    return rank if rank.ndim else int(rank)
 
 
 def hilbert_cell(rank, order):
     """Inverse of hilbert_rank: the (x, y) cell at the given walk index."""
-    side = 1 << order
+    side = _side(order)
     if not (0 <= rank < side * side):
         raise ValueError(f"rank {rank} outside the order-{order} walk")
     x = y = 0
@@ -56,17 +71,15 @@ def hilbert_cell(rank, order):
         y += s * ry
         t //= 4
         s <<= 1
-    return x, y
+    return int(x), int(y)
 
 
 def _fold(span, x, y, rx, ry):
     # quadrant reflection/transpose shared by both walk directions
-    if ry == 0:
-        if rx == 1:
-            x = span - 1 - x
-            y = span - 1 - y
-        x, y = y, x
-    return x, y
+    flip = (ry == 0) & (rx == 1)
+    x = np.where(flip, span - 1 - x, x)
+    y = np.where(flip, span - 1 - y, y)
+    return np.where(ry == 0, y, x), np.where(ry == 0, x, y)
 
 
 def rotate_cell(cell, side, rotation):
@@ -89,11 +102,7 @@ class HilbertOrdering:
 
     rotation: int
     order: int
-    ranks: dict  # id -> dense rank in 0..n-1
-
-    def ranked_ids(self):
-        """Ids sorted by rank, i.e. the traversal order."""
-        return sorted(self.ranks, key=self.ranks.__getitem__)
+    ids: tuple  # location ids in traversal order
 
 
 def default_order(domain, cell_km=1.0):
@@ -101,41 +110,41 @@ def default_order(domain, cell_km=1.0):
     if not cell_km > 0:
         raise ValueError("cell_km must be > 0")
     spans = domain.positions.max(axis=0) - domain.positions.min(axis=0)
-    span = float(spans.max())
+    cells = float(spans.max()) / cell_km
+    if not cells <= 1 << MAX_ORDER:
+        raise ValueError(f"a span of {cells:.6g} cells needs a grid order above "
+                         f"{MAX_ORDER}; use a larger cell_km")
     m = 0
-    while (1 << m) < span / cell_km:
+    while (1 << m) < cells:
         m += 1
     return m
 
 
 def order_domain(domain, order=None, rotation=0, cell_km=1.0):
-    """Rank all domain locations along one rotated Hilbert walk.
+    """Order all domain locations along one rotated Hilbert walk.
 
     Cells are square with side cell_km, anchored at the bounding-box
     minimum; locations beyond the grid edge clamp into the last cell and
-    cell ties break by location id, so the result is always a bijection
-    onto 0..n-1.
+    cell ties break by location id, so the result is always a
+    permutation of 0..n-1.
     """
     if rotation not in ROTATIONS:
         raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation}")
     if domain.n == 1:
-        return HilbertOrdering(rotation, order if order is not None else 0, {0: 0})
+        order = 0 if order is None else order
+        _side(order)
+        return HilbertOrdering(rotation, order, (0,))
     mins = domain.positions.min(axis=0)
     spans = domain.positions.max(axis=0) - mins
     if not float(spans.max()) > 0:
         raise ValueError("degenerate bounding box: all locations coincide")
     if order is None:
         order = default_order(domain, cell_km)
-    side = 1 << order
-    keyed = []
-    for loc in domain.locations:
-        cx = min(int((loc.pos[0] - mins[0]) / cell_km), side - 1)
-        cy = min(int((loc.pos[1] - mins[1]) / cell_km), side - 1)
-        rx, ry = rotate_cell((cx, cy), side, rotation)
-        keyed.append((hilbert_rank(rx, ry, order), loc.id))
-    keyed.sort()
-    ranks = {loc_id: rank for rank, (_, loc_id) in enumerate(keyed)}
-    return HilbertOrdering(rotation, order, ranks)
+    side = _side(order)
+    # clamped before the cast, so far-off cells cannot overflow int64
+    cells = np.minimum((domain.positions - mins) / cell_km, side - 1).astype(np.int64)
+    ranks = hilbert_rank(*rotate_cell(cells.T, side, rotation), order)
+    return HilbertOrdering(rotation, order, tuple(np.argsort(ranks, kind="stable").tolist()))
 
 
 def all_rotations(domain, order=None, cell_km=1.0):

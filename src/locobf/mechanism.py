@@ -33,15 +33,13 @@ class ObfuscationMatrix:
     rows[i, j] is the probability that true location i reports pseudo
     location j. The meta arrays record, per row, the protection-set
     index, the sensitivity (diameter) and the budget that shaped it;
-    they are None for hand-built matrices. normalizers, when present,
-    satisfy w(x) * sum_j exp(-eps * d(x, j) / (2 * diam)) = 1.
+    they are None for hand-built matrices.
     """
 
     rows: np.ndarray
     row_pls: np.ndarray | None = None
     row_sensitivity: np.ndarray | None = None
     row_eps: np.ndarray | None = None
-    normalizers: np.ndarray | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -69,31 +67,24 @@ def _exp_rows(domain, groups):
 
     Each row of a group decays with distance at rate eps / (2 * diameter);
     row_pls records the index of the group that shaped the row.
-    Scores are shifted by the row maximum before exponentiation; the row
-    maximum is always the zero-distance self-report, so the shift keeps
-    the arithmetic stable without changing any probability.
     """
     n = domain.n
     rows = np.empty((n, n), dtype=float)
     row_pls = np.empty(n, dtype=int)
     row_sens = np.empty(n, dtype=float)
     row_eps = np.empty(n, dtype=float)
-    normalizers = np.empty(n, dtype=float)
     for j, (ids, diam, eps) in enumerate(groups):
         scale = eps / (2.0 * diam)
         # scores become weights in place: an all-rows group holds one n x n temporary
         weights = -scale * domain.distances[ids, :]
-        shift = weights.max(axis=1, keepdims=True)
-        weights -= shift
         np.exp(weights, out=weights)
         totals = weights.sum(axis=1)
         weights /= totals[:, None]
         rows[ids, :] = weights
-        normalizers[ids] = np.exp(-shift.ravel()) / totals
         row_pls[ids] = j
         row_sens[ids] = diam
         row_eps[ids] = eps
-    return ObfuscationMatrix(rows, row_pls, row_sens, row_eps, normalizers)
+    return ObfuscationMatrix(rows, row_pls, row_sens, row_eps)
 
 
 def build_matrix(domain, partition):

@@ -197,7 +197,7 @@ def partition_on_ordering(domain, ordering, params):
         raise ValueError("partitioning needs at least 4 locations")
     eps, em = params.eps, params.em
     require_feasible(domain, eps, em)
-    ranked = ordering.ranked_ids()
+    ranked = ordering.ids
 
     left_closed = []   # id-lists in curve order; also in closing order
     right_closed = []  # id-lists in curve order; right_closed[0] closed last

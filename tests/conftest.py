@@ -3,26 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from locobf import Location, LocationDomain, ObfuscationMatrix, min_mean_distance
+from locobf import LocationDomain, ObfuscationMatrix, min_mean_distance
 
 
 @pytest.fixture
 def triangle():
     # isoceles counterexample layout: edges AB=AC=130, BC=100, with the
     # extra point F sitting between the base and the apex
-    return LocationDomain([
-        Location(0, (50.0, 120.0), 0.25),   # A
-        Location(1, (0.0, 0.0), 0.25),      # B
-        Location(2, (100.0, 0.0), 0.25),    # C
-        Location(3, (50.0, 29.0), 0.25),    # F
-    ])
+    return LocationDomain(
+        [(50.0, 120.0), (0.0, 0.0), (100.0, 0.0), (50.0, 29.0)],  # A, B, C, F
+        [0.25] * 4,
+    )
 
 
 @pytest.fixture
 def line6():
-    return LocationDomain(
-        [Location(i, (float(i), 0.0), 1.0 / 6.0) for i in range(6)]
-    )
+    return LocationDomain([(float(i), 0.0) for i in range(6)], [1.0 / 6.0] * 6)
 
 
 @pytest.fixture
@@ -41,10 +37,7 @@ def line6_tie(line6):
 
 @pytest.fixture
 def two_loc():
-    domain = LocationDomain([
-        Location(0, (0.0, 0.0), 0.75),
-        Location(1, (1.0, 0.0), 0.25),
-    ])
+    domain = LocationDomain([(0.0, 0.0), (1.0, 0.0)], [0.75, 0.25])
     matrix = ObfuscationMatrix(np.array([[0.8, 0.2], [0.4, 0.6]]))
     return domain, matrix
 

@@ -10,6 +10,7 @@ instances.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +23,11 @@ def brute_distance(a, b):
 
 def brute_diameter(domain, ids):
     ids = list(ids)
+    pos = domain.positions.tolist()
     best = 0.0
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            d = brute_distance(domain.locations[ids[i]].pos, domain.locations[ids[j]].pos)
+            d = brute_distance(pos[ids[i]], pos[ids[j]])
             if d > best:
                 best = d
     return best
@@ -37,13 +39,14 @@ def brute_min_mean_distance(domain, ids, candidates=None):
     ids = list(ids)
     if candidates is None:
         candidates = range(domain.n)
-    mass = sum(domain.locations[i].prior for i in ids)
+    pos, priors = domain.positions.tolist(), domain.priors.tolist()
+    mass = sum(priors[i] for i in ids)
     best = None
     for c in candidates:
-        cpos = domain.locations[c].pos
+        cpos = pos[c]
         total = 0.0
         for i in ids:
-            total += domain.locations[i].prior * brute_distance(cpos, domain.locations[i].pos)
+            total += priors[i] * brute_distance(cpos, pos[i])
         val = total / mass
         if best is None or val < best:
             best = val
@@ -55,19 +58,21 @@ def brute_min_mean_distance_within(domain, ids):
 
 
 def brute_posterior(domain, rows, pseudo):
-    joint = [domain.locations[x].prior * rows[x][pseudo] for x in range(domain.n)]
+    priors = domain.priors.tolist()
+    joint = [priors[x] * rows[x][pseudo] for x in range(domain.n)]
     marginal = sum(joint)
     return [v / marginal for v in joint]
 
 
 def brute_optimal_attack(domain, rows, pseudo):
     post = brute_posterior(domain, rows, pseudo)
+    pos = domain.positions.tolist()
     best_id, best_cost = None, None
     for guess in range(domain.n):
-        gpos = domain.locations[guess].pos
+        gpos = pos[guess]
         cost = 0.0
         for x in range(domain.n):
-            cost += post[x] * brute_distance(gpos, domain.locations[x].pos)
+            cost += post[x] * brute_distance(gpos, pos[x])
         if best_cost is None or cost < best_cost:
             best_id, best_cost = guess, cost
     return best_id, best_cost
@@ -79,11 +84,12 @@ def brute_cond_err(domain, rows, pseudo):
 
 def brute_avg_error(domain, rows, true_id):
     # optimal-attack distance from true_id, averaged over true_id's reports
-    pos = domain.locations[true_id].pos
+    positions = domain.positions.tolist()
+    pos = positions[true_id]
     total = 0.0
     for pseudo in range(domain.n):
         guess = brute_optimal_attack(domain, rows, pseudo)[0]
-        total += rows[true_id][pseudo] * brute_distance(domain.locations[guess].pos, pos)
+        total += rows[true_id][pseudo] * brute_distance(positions[guess], pos)
     return total
 
 
@@ -250,3 +256,111 @@ def reference_worker_travel_distance(domain, matrix, tasks, idle_count, rng):
         chosen = np.lexsort((idle, by_report))[:3]
         totals.append(float(np.linalg.norm(actual[chosen] - task, axis=1).mean()))
     return float(np.mean(totals))
+
+
+# The domain as first written: each builder made one Location record per
+# row, and the domain sorted the records by id, divided every prior by
+# their Python-summed total and took the distance matrix from the record
+# positions. The curve ordering ranked one record at a time with the
+# scalar walk below and sorted (rank, id) pairs. The package builds from
+# arrays and ranks whole arrays; both must give the same bits.
+
+
+@dataclass(frozen=True)
+class ReferenceLocation:
+    id: int
+    pos: tuple
+    prior: float
+    eps: float | None = None
+
+
+class ReferenceDomain:
+    def __init__(self, locations):
+        locs = sorted(locations, key=lambda loc: loc.id)
+        total = float(sum(loc.prior for loc in locs))
+        self.locations = tuple(
+            ReferenceLocation(loc.id, (float(loc.pos[0]), float(loc.pos[1])),
+                              loc.prior / total, loc.eps)
+            for loc in locs
+        )
+        self.n = len(self.locations)
+        self.positions = np.array([loc.pos for loc in self.locations], dtype=float)
+        self.priors = np.array([loc.prior for loc in self.locations], dtype=float)
+        if locs[0].eps is not None:
+            self.personal_eps = np.array([loc.eps for loc in self.locations], dtype=float)
+        else:
+            self.personal_eps = None
+        dx = self.positions[:, 0][:, None] - self.positions[:, 0][None, :]
+        dy = self.positions[:, 1][:, None] - self.positions[:, 1][None, :]
+        self.distances = np.hypot(dx, dy)
+
+
+def reference_synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0,
+                           grid_side=16):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(grid_side * grid_side, size=n, replace=False)
+    xs = (flat % grid_side + 0.5) * cell_km
+    ys = (flat // grid_side + 0.5) * cell_km
+    priors = rng.uniform(prior_low, prior_high, size=n)
+    return ReferenceDomain(
+        [ReferenceLocation(i, (float(xs[i]), float(ys[i])), float(priors[i])) for i in range(n)]
+    )
+
+
+def reference_assign_personal_eps(domain, low, high, seed):
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(low, high, size=domain.n)
+    return ReferenceDomain([
+        ReferenceLocation(loc.id, loc.pos, loc.prior, float(eps[i]))
+        for i, loc in enumerate(domain.locations)
+    ])
+
+
+def _reference_fold(side, x, y, rx, ry):
+    if ry == 0:
+        if rx == 1:
+            x = side - 1 - x
+            y = side - 1 - y
+        x, y = y, x
+    return x, y
+
+
+def reference_hilbert_rank(cell_x, cell_y, order):
+    side = 1 << order
+    x, y = cell_x, cell_y
+    rank = 0
+    s = side >> 1
+    while s > 0:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        rank += s * s * ((3 * rx) ^ ry)
+        x, y = _reference_fold(side, x, y, rx, ry)
+        s >>= 1
+    return rank
+
+
+def reference_rotate_cell(cell, side, rotation):
+    x, y = cell
+    return {0: (x, y), 90: (y, side - 1 - x), 180: (side - 1 - x, side - 1 - y),
+            270: (side - 1 - y, x)}[rotation]
+
+
+def reference_order_ids(domain, order=None, rotation=0, cell_km=1.0):
+    """Location ids in walk order, one scalar rank per location."""
+    if domain.n == 1:
+        return [0]
+    mins = domain.positions.min(axis=0)
+    if order is None:
+        span = float((domain.positions.max(axis=0) - mins).max())
+        order = 0
+        while (1 << order) < span / cell_km:
+            order += 1
+    side = 1 << order
+    keyed = []
+    for loc in domain.locations:
+        cx = min(int((loc.pos[0] - mins[0]) / cell_km), side - 1)
+        cy = min(int((loc.pos[1] - mins[1]) / cell_km), side - 1)
+        rx, ry = reference_rotate_cell((cx, cy), side, rotation)
+        keyed.append((reference_hilbert_rank(rx, ry, order), loc.id))
+    keyed.sort()
+    return [loc_id for _, loc_id in keyed]

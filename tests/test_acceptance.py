@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from locobf import (
-    Location,
     LocationDomain,
     PrivacyParams,
     QkConfig,
@@ -87,9 +86,7 @@ def qk_corpus(corpus):
 
 @pytest.fixture
 def line3():
-    return LocationDomain(
-        [Location(i, (float(i), 0.0), 1 / 3) for i in range(3)]
-    )
+    return LocationDomain([(float(i), 0.0) for i in range(3)], [1 / 3] * 3)
 
 
 @pytest.mark.criterion(1, "triangle fixture error floors")
@@ -195,8 +192,8 @@ def test_baseline_costs_more(corpus):
     assert np.mean(ratios) > 1.0
 
 
-def _blob_domain(n, seed, blobs=5, side=16.0, spread=1.2):
-    """Spatially clustered synthetic town: blobs of occupied grid cells."""
+def _blob_inputs(n, seed, blobs=5, side=16.0, spread=1.2):
+    """Positions and raw priors of a clustered town: blobs of occupied grid cells."""
     rng = np.random.default_rng([seed, 11])
     centers = rng.uniform(2.0, side - 2.0, size=(blobs, 2))
     cells = {}
@@ -207,10 +204,11 @@ def _blob_domain(n, seed, blobs=5, side=16.0, spread=1.2):
         if 0 <= cell[0] < side and 0 <= cell[1] < side and cell not in cells:
             cells[cell] = None
     priors = rng.uniform(0.01, 0.03, size=n)
-    return LocationDomain([
-        Location(i, (cx + 0.5, cy + 0.5), float(priors[i]))
-        for i, (cx, cy) in enumerate(sorted(cells))
-    ])
+    return [(cx + 0.5, cy + 0.5) for cx, cy in sorted(cells)], priors
+
+
+def _blob_domain(n, seed):
+    return LocationDomain(*_blob_inputs(n, seed))
 
 
 @pytest.mark.criterion(9, "per-location budgets help, and so does the weight")

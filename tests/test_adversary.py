@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from locobf import (
-    Location,
     LocationDomain,
     MetricsReport,
     ObfuscationMatrix,
@@ -30,9 +29,7 @@ from reference_impls import brute_avg_error, brute_success_prob
 
 @pytest.fixture
 def line3():
-    return LocationDomain(
-        [Location(i, (float(i), 0.0), 1 / 3) for i in range(3)]
-    )
+    return LocationDomain([(float(i), 0.0) for i in range(3)], [1 / 3] * 3)
 
 
 def test_posterior_identity_channel(line3):
@@ -69,9 +66,7 @@ def test_optimal_attack_point_mass(line3):
 def test_optimal_attack_breaks_ties_low(line3):
     # costs are 0.7, 0.7, 1.3: ids 0 and 1 tie
     assert optimal_attack(line3, [0.5, 0.3, 0.2]) == 0
-    pair = LocationDomain(
-        [Location(0, (0.0, 0.0), 0.5), Location(1, (1.0, 0.0), 0.5)]
-    )
+    pair = LocationDomain([(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])
     assert optimal_attack(pair, [0.5, 0.5]) == 0
 
 
@@ -131,10 +126,7 @@ def test_expected_error_survives_relabeling():
     m = build_matrix_constant(dom, 2.0, 1.0)
     rng = np.random.default_rng(11)
     perm = rng.permutation(12)
-    relabeled = LocationDomain([
-        Location(i, tuple(dom.positions[p]), float(dom.priors[p]))
-        for i, p in enumerate(perm)
-    ])
+    relabeled = LocationDomain(dom.positions[perm], dom.priors[perm])
     m2 = ObfuscationMatrix(m.rows[np.ix_(perm, perm)])
     assert expected_error(relabeled, m2) == pytest.approx(
         expected_error(dom, m), abs=1e-9

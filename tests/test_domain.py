@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,12 +7,10 @@ import pytest
 import locobf.domain as domain_mod
 from locobf import (
     DomainFormatError,
-    Location,
     LocationDomain,
     PrivacyParams,
     assign_personal_eps,
     diameter,
-    distance,
     load_domain,
     min_mean_distance,
     min_mean_distance_within,
@@ -24,19 +23,10 @@ from locobf.domain import _admits
 from reference_impls import brute_min_mean_distance
 
 
-def test_distance_basics():
-    def loc(x, y):
-        return Location(0, (x, y), 0.5)
-
-    assert distance(loc(0.0, 0.0), loc(0.0, 0.0)) == 0.0
-    assert distance(loc(0.0, 0.0), loc(3.0, 4.0)) == 5.0
-    assert distance(loc(50.0, 120.0), loc(0.0, 0.0)) == 130.0
-
-
 def test_diameter(triangle):
     assert diameter(triangle, [1]) == 0.0
     assert diameter(triangle, [0, 1, 2]) == pytest.approx(130.0)
-    line = LocationDomain([Location(i, (float(i), 0.0), 1 / 3) for i in range(3)])
+    line = LocationDomain([(float(i), 0.0) for i in range(3)], [1 / 3] * 3)
     assert diameter(line, [0, 1, 2]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         diameter(triangle, [])
@@ -45,11 +35,7 @@ def test_diameter(triangle):
 def test_prior_mass(triangle):
     assert prior_mass(triangle, list(triangle.ids)) == pytest.approx(1.0)
     assert prior_mass(triangle, []) == 0.0
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 0.0153),
-        Location(1, (1.0, 0.0), 0.0241),
-        Location(2, (2.0, 0.0), 0.9606),
-    ])
+    dom = LocationDomain([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0.0153, 0.0241, 0.9606])
     assert prior_mass(dom, [0, 1]) == pytest.approx(0.0394, abs=1e-12)
 
 
@@ -71,10 +57,7 @@ def test_min_mean_distance_within_triangle(triangle):
 def test_mean_distance_degenerate_cases(triangle):
     assert min_mean_distance(triangle, [2]) == 0.0
     assert min_mean_distance_within(triangle, [2]) == 0.0
-    pair = LocationDomain([
-        Location(0, (0.0, 0.0), 0.5),
-        Location(1, (3.0, 0.0), 0.5),
-    ])
+    pair = LocationDomain([(0.0, 0.0), (3.0, 0.0)], [0.5, 0.5])
     assert min_mean_distance(pair, [0, 1]) == pytest.approx(1.5)
     assert min_mean_distance_within(pair, [0, 1]) == pytest.approx(1.5)
     with pytest.raises(ValueError):
@@ -86,10 +69,7 @@ def test_restricted_never_below_unrestricted():
     for trial in range(30):
         pts = rng.uniform(0, 10, size=(10, 2))
         pri = rng.uniform(0.5, 2.0, size=10)
-        dom = LocationDomain([
-            Location(i, (float(x), float(y)), float(p))
-            for i, ((x, y), p) in enumerate(zip(pts, pri))
-        ])
+        dom = LocationDomain(pts, pri)
         size = int(rng.integers(2, 6))
         ids = sorted(rng.choice(10, size=size, replace=False).tolist())
         e = min_mean_distance_within(dom, ids)
@@ -98,10 +78,7 @@ def test_restricted_never_below_unrestricted():
 
 
 def test_satisfies_error_bound():
-    pair = LocationDomain([
-        Location(0, (0.0, 0.0), 0.5),
-        Location(1, (1.0, 0.0), 0.5),
-    ])
+    pair = LocationDomain([(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])
     assert satisfies_error_bound(pair, [0, 1], 5.0, 0.0)
     # 0.5 >= e^0.1 * 0.4 = 0.4421
     assert satisfies_error_bound(pair, [0, 1], 0.1, 0.4)
@@ -112,11 +89,7 @@ def test_satisfies_error_bound():
 
 
 def test_zero_mass_set_has_no_floor():
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 0.0),
-        Location(1, (1.0, 0.0), 0.0),
-        Location(2, (5.0, 0.0), 1.0),
-    ])
+    dom = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
     assert not satisfies_error_bound(dom, [0, 1], 1.0, 0.0)
     assert satisfies_error_bound(dom, [0, 2], 1.0, 0.0)
     with pytest.raises(ValueError, match="zero prior mass"):
@@ -155,13 +128,9 @@ def test_running_floor_test_is_exact(monkeypatch):
 
     monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
     tiny = LocationDomain(  # every running sum is far below 2**-900
-        [Location(i, (i * 1e-290, 0.0), 0.25) for i in range(4)]
+        [(i * 1e-290, 0.0) for i in range(4)], [0.25] * 4
     )
-    zero = LocationDomain([
-        Location(0, (0.0, 0.0), 0.0),
-        Location(1, (1.0, 0.0), 0.0),
-        Location(2, (5.0, 0.0), 1.0),
-    ])
+    zero = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
     cases = [(tiny, [0, 1], 1.0), (tiny, [1, 2, 3], 0.5)]
     for s in range(8):
         rng = np.random.default_rng([92, s])
@@ -191,31 +160,50 @@ def test_running_floor_test_is_exact(monkeypatch):
 
 
 def test_location_validation():
-    with pytest.raises(ValueError):
-        Location(0, (float("nan"), 0.0), 0.5)
-    with pytest.raises(ValueError):
-        Location(0, (0.0, 0.0), -0.1)
-    with pytest.raises(ValueError):
-        Location(0, (0.0, 0.0), 0.5, eps=0.0)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        LocationDomain([(float("nan"), 0.0)], [0.5])
+    with pytest.raises(ValueError, match="priors must be finite and >= 0"):
+        LocationDomain([(0.0, 0.0)], [-0.1])
+    with pytest.raises(ValueError, match="personal eps must be finite and > 0"):
+        LocationDomain([(0.0, 0.0)], [0.5], personal_eps=[0.0])
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        LocationDomain([Location(0, (0.0, 0.0), 0.5), Location(2, (1.0, 0.0), 0.5)])
-    with pytest.raises(ValueError):
-        LocationDomain([Location(0, (0.0, 0.0), 0.5), Location(0, (1.0, 0.0), 0.5)])
-    # per-location budgets are all-or-none
-    with pytest.raises(ValueError):
-        LocationDomain([
-            Location(0, (0.0, 0.0), 0.5, eps=1.0),
-            Location(1, (1.0, 0.0), 0.5),
-        ])
-    with pytest.raises(ValueError):
-        LocationDomain([Location(0, (0.0, 0.0), 0.0), Location(1, (1.0, 0.0), 0.0)])
+    pair = [(0.0, 0.0), (1.0, 0.0)]
+    for positions, priors, eps, fragment in [
+        ([], [], None, "shape (n, 2)"),
+        ([(0.0, 0.0, 0.0)], [1.0], None, "shape (n, 2)"),
+        (pair, [1.0], None, "priors must have shape (2,)"),
+        ([(0.0, 0.0), (math.inf, 0.0)], [0.5, 0.5], None, "coordinates must be finite"),
+        (pair, [0.5, math.nan], None, "priors must be finite"),
+        (pair, [0.5, math.inf], None, "priors must be finite"),
+        (pair, [0.0, 0.0], None, "positive total mass"),
+        # a budget for every location or none
+        (pair, [0.5, 0.5], [1.0], "personal eps must have shape (2,)"),
+        (pair, [0.5, 0.5], [1.0, math.inf], "finite and > 0"),
+        (pair, [0.5, 0.5], [1.0, math.nan], "finite and > 0"),
+        (pair, [0.5, 0.5], [1.0, -1.0], "finite and > 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            LocationDomain(positions, priors, eps)
+        assert fragment in str(err.value)
+
+
+def test_domain_arrays_are_read_only_copies():
+    positions = np.array([[0.0, 0.0], [1.0, 0.0]])
+    priors = np.array([1.0, 3.0])
+    dom = LocationDomain(positions, priors, personal_eps=[1.0, 2.0])
+    positions[0, 0] = 9.0
+    priors[0] = 9.0
+    assert dom.positions.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert dom.priors.tolist() == [0.25, 0.75]
+    assert dom.n == 2 and list(dom.ids) == [0, 1]
+    for arr in (dom.positions, dom.priors, dom.distances, dom.personal_eps):
+        assert not arr.flags.writeable
 
 
 def test_priors_normalized():
-    dom = LocationDomain([Location(0, (0.0, 0.0), 2.0), Location(1, (1.0, 0.0), 2.0)])
+    dom = LocationDomain([(0.0, 0.0), (1.0, 0.0)], [2.0, 2.0])
     assert dom.priors.tolist() == [0.5, 0.5]
     assert abs(dom.priors.sum() - 1.0) < 1e-9
 
@@ -233,6 +221,10 @@ def test_privacy_params():
         PrivacyParams(1.0, float("nan"))
     with pytest.raises(ValueError):
         PrivacyParams(1.0, 0.1, float("nan"))
+    for eps, em, lam in ((math.inf, 0.0, 0.5), (1.0, math.inf, 0.5), (1.0, 0.1, math.inf),
+                         (math.nan, 0.1, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            PrivacyParams(eps, em, lam)
 
 
 def test_load_domain_roundtrip(tmp_path):
@@ -253,6 +245,13 @@ def test_load_domain_eps_roundtrip(tmp_path):
     assert np.allclose(loaded.personal_eps, dom.personal_eps)
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "0", "-1"])
+def test_load_domain_rejects_bad_eps(cell):
+    text = f"id,x_km,y_km,prior,eps\n0,0,0,0.5,1.0\n1,1,0,0.5,{cell}\n"
+    with pytest.raises(DomainFormatError, match="line 3: eps must be finite and > 0"):
+        load_domain(io.StringIO(text))
+
+
 def test_load_domain_parses_and_normalizes(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,x_km,y_km,prior\n0,0,0,2\n1,1,0,2\n")
@@ -266,6 +265,9 @@ def test_load_domain_parses_and_normalizes(tmp_path):
     ("0,0,0,0.5\n0,1,0,0.5\n", "duplicate"),
     ("0,0,0\n1,1,0,0.5\n", "line 2"),           # short row
     ("0,0,0,0.5\n", "at least 2"),
+    ("0,0,0,0.5\n2,1,0,0.5\n", "exactly 0..n-1"),     # id gap
+    ("0,0,0,0.5\n1,nan,0,0.5\n", "line 3: location 1: coordinates must be finite"),
+    ("0,0,0,inf\n1,1,0,0.5\n", "line 2: location 0: prior must be finite"),
 ])
 def test_load_domain_errors(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
@@ -306,6 +308,9 @@ def test_assign_personal_eps():
     assert np.array_equal(got.personal_eps, again.personal_eps)
     assert got.personal_eps.min() >= 0.5 and got.personal_eps.max() <= 1.5
     assert got.n == dom.n
+    for low, high in ((0.0, 1.0), (1.5, 0.5), (0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="0 < low <= high < inf"):
+            assign_personal_eps(dom, low, high, seed=4)
 
 
 def test_distance_matrix_cache():

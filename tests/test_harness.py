@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from locobf import (
-    Location,
     LocationDomain,
     ObfuscationMatrix,
     build_matrix_constant,
@@ -303,6 +302,11 @@ def test_sweep_config_rejects_bad_parameters():
         SweepConfig("synth:n=16", (1.0, -1.0), (0.05,), ("qk-personalized",), (1,), "out")
     with pytest.raises(ValueError, match="em_values"):
         SweepConfig("synth:n=16", (1.0,), (-0.05,), ("hilbert",), (1,), "out")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_values must be finite"):
+            SweepConfig("synth:n=16", (1.0, bad), (0.05,), ("hilbert",), (1,), "out")
+        with pytest.raises(ValueError, match="em_values must be finite"):
+            SweepConfig("synth:n=16", (1.0,), (bad,), ("hilbert",), (1,), "out")
 
 
 def test_aggregate_cells_is_pure():
@@ -334,9 +338,7 @@ def test_sweep_command(tmp_path):
 
 @pytest.fixture
 def line12():
-    return LocationDomain(
-        [Location(i, (float(i), 0.0), 1 / 12) for i in range(12)]
-    )
+    return LocationDomain([(float(i), 0.0) for i in range(12)], [1 / 12] * 12)
 
 
 def test_wtd_identity_matches_plain_assignment(line12):
@@ -353,11 +355,7 @@ def test_wtd_identity_matches_plain_assignment(line12):
 
 
 def test_wtd_three_workers_use_everyone():
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 1 / 3),
-        Location(1, (4.0, 0.0), 1 / 3),
-        Location(2, (10.0, 0.0), 1 / 3),
-    ])
+    dom = LocationDomain([(0.0, 0.0), (4.0, 0.0), (10.0, 0.0)], [1 / 3] * 3)
     ident = ObfuscationMatrix(np.eye(3))
     task = np.array([[4.0, 0.0]])
     got = worker_travel_distance(dom, ident, task, 3, np.random.default_rng(0))
@@ -420,6 +418,7 @@ def test_wtd_command(tmp_path, capsys):
     ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"),
     ("--em", "-0.1"), ("--em", "nan"), ("--lam", "-1"), ("--lam", "nan"),
     ("--order", "-1"), ("--eps-range", "1.5,0.5"), ("--eps-range", "0,1"),
+    ("--eps", "inf"), ("--em", "inf"), ("--lam", "inf"), ("--order", "32"),
 ])
 def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value):
     code = main([
@@ -433,6 +432,7 @@ def test_partition_search_knobs_are_usage_errors(line6_file, capsys, flag, value
 @pytest.mark.parametrize("flag, value", [
     ("--tasks", "0"), ("--tasks", "-3"), ("--em", "-0.1"), ("--eps", "nan"),
     ("--idle", "2"), ("--eps-range", "2,1"),
+    ("--eps", "inf"), ("--em", "inf"), ("--lam", "inf"),
 ])
 def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
     code = main(["wtd", "--dataset", line6_file, "--eps", "1.0", "--em", "0.1", flag, value])
@@ -442,7 +442,7 @@ def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     ("--n", "0"), ("--n", "1"), ("--grid-side", "0"),
-    ("--cell-km", "-1"), ("--cell-km", "0"), ("--cell-km", "nan"),
+    ("--cell-km", "-1"), ("--cell-km", "0"), ("--cell-km", "nan"), ("--cell-km", "inf"),
     ("--eps-range", "2,1"), ("--eps-range", "0,1"), ("--eps-range", "nan,1"),
     ("--eps-range", "1,inf"),
     ("--prior-low", "-0.5"), ("--prior-low", "nan"), ("--prior-low", "inf"),

@@ -3,7 +3,6 @@ import pytest
 
 from locobf import (
     ROTATIONS,
-    Location,
     LocationDomain,
     all_rotations,
     default_order,
@@ -13,6 +12,7 @@ from locobf import (
     rotate_cell,
     synth_domain,
 )
+from locobf.hilbert import MAX_ORDER
 
 
 def test_order_one_is_a_bijection():
@@ -32,6 +32,19 @@ def test_roundtrip_order_three():
         assert hilbert_rank(*hilbert_cell(rank, 3), 3) == rank
 
 
+def test_rank_of_arrays_equals_rank_of_each_cell():
+    order = 4
+    xs, ys = np.meshgrid(np.arange(16), np.arange(16))
+    ranks = hilbert_rank(xs, ys, order)
+    assert ranks.dtype == np.int64 and ranks.shape == (16, 16)
+    assert ranks.tolist() == [[hilbert_rank(x, y, order) for x in range(16)] for y in range(16)]
+    assert sorted(ranks.ravel().tolist()) == list(range(256))
+    assert type(hilbert_rank(3, 5, order)) is int
+    top = (1 << MAX_ORDER) - 1
+    assert hilbert_rank(top, 0, MAX_ORDER) == 4 ** MAX_ORDER - 1  # the walk ends lower right
+    assert hilbert_cell(4 ** MAX_ORDER - 1, MAX_ORDER) == (top, 0)
+
+
 def test_rank_input_validation():
     with pytest.raises(ValueError):
         hilbert_rank(4, 0, 2)
@@ -39,6 +52,11 @@ def test_rank_input_validation():
         hilbert_rank(0, -1, 2)
     with pytest.raises(ValueError):
         hilbert_cell(16, 2)
+    for order in (-1, MAX_ORDER + 1):
+        with pytest.raises(ValueError, match="order"):
+            hilbert_rank(0, 0, order)
+        with pytest.raises(ValueError, match="order"):
+            hilbert_cell(0, order)
 
 
 def test_rotate_cell():
@@ -56,10 +74,7 @@ def test_rotate_cell():
 
 
 def _span_domain(span):
-    return LocationDomain([
-        Location(0, (0.0, 0.0), 0.5),
-        Location(1, (span, 0.0), 0.5),
-    ])
+    return LocationDomain([(0.0, 0.0), (span, 0.0)], [0.5, 0.5])
 
 
 def test_default_order():
@@ -73,36 +88,47 @@ def test_default_order():
 
 
 def test_order_domain_single_point():
-    dom = LocationDomain.__new__(LocationDomain)  # bypass n>=1 shortcut below
-    dom = LocationDomain([Location(0, (3.0, 4.0), 1.0)])
+    dom = LocationDomain([(3.0, 4.0)], [1.0])
     ordering = order_domain(dom)
-    assert ordering.ranks == {0: 0}
+    assert ordering.ids == (0,)
 
 
 def test_order_domain_row_monotone():
     """Points along the bottom grid row keep their x order at rotation 0."""
-    dom = LocationDomain(
-        [Location(i, (float(i) + 0.5, 0.5), 1.0 / 8) for i in range(8)]
-    )
+    dom = LocationDomain([(float(i) + 0.5, 0.5) for i in range(8)], [1.0 / 8] * 8)
     ordering = order_domain(dom, order=3)
-    assert [ordering.ranks[i] for i in range(8)] == list(range(8))
+    assert ordering.ids == tuple(range(8))
 
 
 def test_order_domain_shared_cell_tiebreak():
-    dom = LocationDomain([
-        Location(0, (0.2, 0.2), 0.3),
-        Location(1, (0.3, 0.3), 0.3),   # same 1 km cell as id 0
-        Location(2, (5.0, 5.0), 0.4),
-    ])
+    dom = LocationDomain(
+        [(0.2, 0.2), (0.3, 0.3), (5.0, 5.0)],  # ids 0 and 1 share a 1 km cell
+        [0.3, 0.3, 0.4],
+    )
     ordering = order_domain(dom)
-    assert ordering.ranks[0] < ordering.ranks[1]
+    assert ordering.ids.index(0) < ordering.ids.index(1)
+
+
+@pytest.mark.parametrize("build", [order_domain, all_rotations])
+def test_orders_above_max_are_rejected(build):
+    dom = synth_domain(30, seed=12)
+    got = build(dom, order=MAX_ORDER)
+    assert {o.order for o in (got if isinstance(got, tuple) else (got,))} == {MAX_ORDER}
+    with pytest.raises(ValueError, match="order"):
+        build(dom, order=MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="order"):
+        build(LocationDomain([(0.0, 0.0)], [1.0]), order=MAX_ORDER + 1)
+    # a default order above the bound is refused before any ranking
+    with pytest.raises(ValueError, match="larger cell_km"):
+        build(dom, cell_km=1e-9)
+    with np.errstate(over="ignore"):  # the span itself overflows to inf
+        huge = LocationDomain([(-1e308, 0.0), (1e308, 0.0)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="larger cell_km"):
+            build(huge)
 
 
 def test_order_domain_degenerate_bbox():
-    dom = LocationDomain([
-        Location(0, (1.0, 1.0), 0.5),
-        Location(1, (1.0, 1.0), 0.5),
-    ])
+    dom = LocationDomain([(1.0, 1.0), (1.0, 1.0)], [0.5, 0.5])
     with pytest.raises(ValueError):
         order_domain(dom)
 
@@ -110,8 +136,7 @@ def test_order_domain_degenerate_bbox():
 def test_order_domain_ranks_are_dense():
     dom = synth_domain(30, seed=12)
     ordering = order_domain(dom)
-    assert sorted(ordering.ranks) == list(range(30))
-    assert sorted(ordering.ranks.values()) == list(range(30))
+    assert sorted(ordering.ids) == list(range(30))
 
 
 def test_all_rotations():
@@ -119,9 +144,9 @@ def test_all_rotations():
     orderings = all_rotations(dom)
     assert tuple(o.rotation for o in orderings) == ROTATIONS
     for o in orderings:
-        assert sorted(o.ranks.values()) == list(range(25))
-    single = LocationDomain([Location(0, (2.0, 2.0), 1.0)])
-    assert len({tuple(sorted(o.ranks.items())) for o in all_rotations(single)}) == 1
+        assert sorted(o.ids) == list(range(25))
+    single = LocationDomain([(2.0, 2.0)], [1.0])
+    assert {o.ids for o in all_rotations(single)} == {(0,)}
 
 
 def test_rotated_traversal_is_still_a_hilbert_walk():
@@ -141,4 +166,4 @@ def test_rotation_changes_the_ordering():
     dom = synth_domain(25, seed=3)
     base = order_domain(dom, rotation=0)
     flipped = order_domain(dom, rotation=180)
-    assert base.ranks != flipped.ranks
+    assert base.ids != flipped.ids

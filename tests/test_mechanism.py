@@ -6,7 +6,6 @@ import pytest
 
 from locobf import (
     InfeasibleParamsError,
-    Location,
     LocationDomain,
     ObfuscationMatrix,
     Partition,
@@ -26,9 +25,7 @@ from reference_impls import reference_sample_pseudo, reference_worker_travel_dis
 
 @pytest.fixture
 def line3():
-    return LocationDomain(
-        [Location(i, (float(i), 0.0), 1 / 3) for i in range(3)]
-    )
+    return LocationDomain([(float(i), 0.0) for i in range(3)], [1 / 3] * 3)
 
 
 def test_constant_row_values(line3):
@@ -44,7 +41,8 @@ def test_normalizer_identity(line3):
     scale = 2.0 / (2.0 * 1.0)
     for i in range(3):
         total = np.exp(-scale * line3.distances[i]).sum()
-        assert m.normalizers[i] * total == pytest.approx(1.0, abs=1e-12)
+        # the self-report's weight is exp(0) = 1, so its probability is the normalizer
+        assert m.rows[i, i] * total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vanishing_eps_gives_uniform_rows(line3):
@@ -53,9 +51,7 @@ def test_vanishing_eps_gives_uniform_rows(line3):
 
 
 def test_rows_mirror_under_reflection():
-    dom = LocationDomain(
-        [Location(i, (float(i), 0.0), 0.25) for i in range(4)]
-    )
+    dom = LocationDomain([(float(i), 0.0) for i in range(4)], [0.25] * 4)
     part = Partition(
         (Pls.build(dom, (0, 3), 1.0), Pls.build(dom, (1, 2), 1.0)),
         PrivacyParams(1.0, 0.0),
@@ -100,12 +96,7 @@ def test_same_set_rows_close_under_budget():
 
 
 def test_zero_diameter_set_is_rejected():
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 0.25),
-        Location(1, (0.0, 0.0), 0.25),
-        Location(2, (5.0, 0.0), 0.25),
-        Location(3, (6.0, 0.0), 0.25),
-    ])
+    dom = LocationDomain([(0.0, 0.0), (0.0, 0.0), (5.0, 0.0), (6.0, 0.0)], [0.25] * 4)
     part = Partition(
         (Pls.build(dom, (0, 1), 1.0), Pls.build(dom, (2, 3), 1.0)),
         None,
@@ -116,9 +107,7 @@ def test_zero_diameter_set_is_rejected():
 
 
 def test_partial_cover_is_rejected(line3):
-    dom = LocationDomain(
-        [Location(i, (float(i), 0.0), 0.25) for i in range(4)]
-    )
+    dom = LocationDomain([(float(i), 0.0) for i in range(4)], [0.25] * 4)
     part = Partition((Pls.build(dom, (0, 1), 1.0),), None, "handmade")
     with pytest.raises(ValueError, match="cover"):
         build_matrix(dom, part)
@@ -138,7 +127,6 @@ def test_constant_matches_single_set_partition(line3):
     a = build_matrix(line3, part)
     b = build_matrix_constant(line3, part.plss[0].diam, 0.7)
     assert np.array_equal(a.rows, b.rows)
-    assert np.array_equal(a.normalizers, b.normalizers)
 
 
 def test_larger_sensitivity_flattens_rows(line3):
@@ -304,7 +292,7 @@ def test_wtd_equals_the_per_task_loop_on_grid_domains():
 
 def test_wtd_equals_the_per_task_loop_with_duplicate_positions():
     spots = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    dom = LocationDomain([Location(i, spots[i % 4], 1.0 + i % 3) for i in range(14)])
+    dom = LocationDomain([spots[i % 4] for i in range(14)], [1.0 + i % 3 for i in range(14)])
     tasks = _grid_tasks(np.random.default_rng(3), 1, 40)
     for mi, m in enumerate(_release_matrices(dom, PrivacyParams(1.0, 0.05))):
         for idle_count in (3, 7, dom.n):
@@ -314,11 +302,9 @@ def test_wtd_equals_the_per_task_loop_with_duplicate_positions():
 
 def test_wtd_breaks_equal_distances_by_worker_id():
     # workers 0..3 sit 1 km from the task; the lowest three ids serve it
-    dom = LocationDomain([
-        Location(0, (1.0, 0.0), 0.2), Location(1, (0.0, 1.0), 0.2),
-        Location(2, (-1.0, 0.0), 0.2), Location(3, (0.0, -1.0), 0.2),
-        Location(4, (3.0, 3.0), 0.2),
-    ])
+    dom = LocationDomain(
+        [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (3.0, 3.0)], [0.2] * 5
+    )
     ident = ObfuscationMatrix(np.eye(5))
     task = [[0.0, 0.0]]
     assert worker_travel_distance(dom, ident, task, 5, np.random.default_rng(0)) == 1.0

@@ -9,7 +9,6 @@ import locobf.partition as partition_mod
 import locobf.qkmeans as qkmeans_mod
 from locobf import (
     InfeasibleParamsError,
-    Location,
     LocationDomain,
     Partition,
     Pls,
@@ -34,12 +33,9 @@ from locobf.domain import _admits
 
 
 def pair_domain(gap_a, start_b, gap_b, masses=(0.25, 0.25, 0.25, 0.25)):
-    return LocationDomain([
-        Location(0, (0.0, 0.0), masses[0]),
-        Location(1, (gap_a, 0.0), masses[1]),
-        Location(2, (start_b, 0.0), masses[2]),
-        Location(3, (start_b + gap_b, 0.0), masses[3]),
-    ])
+    return LocationDomain(
+        [(0.0, 0.0), (gap_a, 0.0), (start_b, 0.0), (start_b + gap_b, 0.0)], masses
+    )
 
 
 def test_pls_build():
@@ -154,7 +150,7 @@ def test_curve_walk_decides_ties_exactly(line6, line6_tie, monkeypatch):
 
 def test_curve_walk_merges_to_single_set():
     """Parameters reachable only by the whole domain collapse the walk."""
-    dom = LocationDomain([Location(i, (float(i), 0.0), 0.2) for i in range(5)])
+    dom = LocationDomain([(float(i), 0.0) for i in range(5)], [0.2] * 5)
     # proper contiguous subsets top out at floor 1.0; the domain reaches 1.2
     eps = 0.5
     em = 1.1 / math.exp(eps)
@@ -286,10 +282,9 @@ def test_zero_prior_locations_partition():
     """Locations of zero prior mass are covered like any other."""
     base = synth_domain(12, seed=0)
     # 4 and 5 are the two nearest locations, so both partitioners try them as a pair
-    dom = LocationDomain([
-        Location(loc.id, loc.pos, 0.0 if loc.id in (4, 5) else loc.prior)
-        for loc in base.locations
-    ])
+    priors = base.priors.copy()
+    priors[[4, 5]] = 0.0
+    dom = LocationDomain(base.positions, priors)
     params = PrivacyParams(1.0, 0.1)
     for part in (best_hilbert_partition(dom, params),
                  qk_partition(dom, params, QkConfig(max_samp=3, seed=1))):

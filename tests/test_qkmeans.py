@@ -6,7 +6,6 @@ import pytest
 import locobf.domain as domain_mod
 from locobf import (
     InfeasibleParamsError,
-    Location,
     LocationDomain,
     PrivacyParams,
     QkConfig,
@@ -64,9 +63,7 @@ def test_seed_centers_spread():
     """With two tight groups far apart the second center lands opposite."""
     pts = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.05, 0.05), (0.1, 0.1), (0.02, 0.08)]
     pts += [(10.0 + x, y) for x, y in pts]
-    dom = LocationDomain(
-        [Location(i, p, 1.0 / len(pts)) for i, p in enumerate(pts)]
-    )
+    dom = LocationDomain(pts, [1.0 / len(pts)] * len(pts))
     opposite = 0
     for trial in range(1000):
         centers = seed_centers(dom, 2, np.random.default_rng([7, trial]))
@@ -96,13 +93,10 @@ def test_assign_round_unplaceable_leftover():
     The two flanking pairs close at floor 1.0, and adding the midpoint
     drops either pair's floor to ~0.35, below the 0.95 threshold.
     """
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 0.05),
-        Location(1, (2.0, 0.0), 0.05),
-        Location(2, (0.0, 6.0), 0.05),
-        Location(3, (2.0, 6.0), 0.05),
-        Location(4, (1.0, 3.0), 0.80),
-    ])
+    dom = LocationDomain(
+        [(0.0, 0.0), (2.0, 0.0), (0.0, 6.0), (2.0, 6.0), (1.0, 3.0)],
+        [0.05, 0.05, 0.05, 0.05, 0.80],
+    )
     params = PrivacyParams(0.1, 0.95 / math.exp(0.1))
     centers = np.array([[1.0, 0.0], [1.0, 6.0]])
     members, complete = assign_round(dom, centers, params)
@@ -111,11 +105,9 @@ def test_assign_round_unplaceable_leftover():
 
 
 def test_assign_round_weight_flips_the_join():
-    dom = LocationDomain([
-        Location(0, (0.0, 0.0), 1 / 3, eps=1.0),
-        Location(1, (3.0, 0.0), 1 / 3, eps=5.0),
-        Location(2, (1.8, 0.0), 1 / 3, eps=1.0),
-    ])
+    dom = LocationDomain(
+        [(0.0, 0.0), (3.0, 0.0), (1.8, 0.0)], [1 / 3] * 3, personal_eps=[1.0, 5.0, 1.0]
+    )
     params = PrivacyParams(1.0, 10.0)  # floor unreachable: nothing closes
     centers = np.array([[0.0, 0.0], [3.0, 0.0]])
     plain, _ = assign_round(dom, centers, params, personalized=True, weighted=False)
@@ -134,7 +126,7 @@ def test_qk_partition_line(line6):
 
 
 def test_qk_partition_whole_domain_fallback():
-    dom = LocationDomain([Location(i, (float(i), 0.0), 0.2) for i in range(5)])
+    dom = LocationDomain([(float(i), 0.0) for i in range(5)], [0.2] * 5)
     eps = 0.5
     em = 1.1 / math.exp(eps)  # only the full domain clears this
     part = qk_partition(dom, PrivacyParams(eps, em), QkConfig(seed=0))
@@ -156,7 +148,7 @@ def test_qk_partition_validates_inputs(line6):
         qk_partition(line6, PrivacyParams(1.0, 10.0))
     with pytest.raises(ValueError, match="budget"):
         qk_partition(line6, PrivacyParams(1.0, 0.1), personalized=True)
-    tiny = LocationDomain([Location(0, (0.0, 0.0), 1.0)])
+    tiny = LocationDomain([(0.0, 0.0)], [1.0])
     with pytest.raises(ValueError):
         qk_partition(tiny, PrivacyParams(1.0, 0.0))
 
@@ -234,9 +226,7 @@ def test_assign_round_decides_ties_exactly(line6, line6_tie, monkeypatch):
 
 def test_assign_round_open_cluster_is_infeasible():
     """Every location placed while a cluster stays open: not a partition."""
-    dom = LocationDomain(
-        [Location(i, (x, 0.0), 0.2) for i, x in enumerate((0.0, 1.0, 10.0, 11.0, 12.0))]
-    )
+    dom = LocationDomain([(x, 0.0) for x in (0.0, 1.0, 10.0, 11.0, 12.0)], [0.2] * 5)
     params = PrivacyParams(1.0, 0.6 / math.exp(1.0))  # pairs reach 0.5, the triple 2/3
     centers = np.array([[0.5, 0.0], [11.0, 0.0]])
     members, feasible = assign_round(dom, centers, params)
