@@ -6,8 +6,6 @@ through an exponential matrix calibrated per set, and evaluate the
 result against a Bayesian adversary.
 """
 
-import importlib
-
 from .adversary import (
     MetricsReport,
     avg_error,
@@ -36,6 +34,13 @@ from .domain import (
     satisfies_error_bound,
     save_domain,
     synth_domain,
+)
+from .experiment import (
+    SweepConfig,
+    aggregate_cells,
+    parse_sweep_config,
+    run_sweep,
+    run_wtd,
 )
 from .hilbert import (
     ROTATIONS,
@@ -69,14 +74,3 @@ from .partition import (
 from .qkmeans import QkConfig, assign_round, eps_weight, qk_partition, seed_centers
 
 __version__ = "0.1.0"
-
-# Resolved on first use (PEP 562), so that importing the package does not
-# import cli, and `python -m locobf.cli` runs a module not yet imported.
-_CLI_NAMES = ("SweepConfig", "aggregate_cells", "parse_sweep_config", "run_sweep")
-
-
-def __getattr__(name):
-    if name == "cli" or name in _CLI_NAMES:
-        cli = importlib.import_module(".cli", __name__)
-        return cli if name == "cli" else getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

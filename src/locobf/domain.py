@@ -89,9 +89,12 @@ class LocationDomain:
         self.positions = positions
         self.priors = priors / total
         self.personal_eps = personal_eps
-        dx = positions[:, 0][:, None] - positions[:, 0][None, :]
-        dy = positions[:, 1][:, None] - positions[:, 1][None, :]
-        self.distances = np.hypot(dx, dy)
+        with np.errstate(over="ignore"):
+            dx = positions[:, 0][:, None] - positions[:, 0][None, :]
+            dy = positions[:, 1][:, None] - positions[:, 1][None, :]
+            self.distances = np.hypot(dx, dy)
+        if not self.distances.max() < math.inf:
+            raise ValueError("pairwise distances overflow float64; coordinates are too far apart")
         for arr in (self.positions, self.priors, self.distances, self.personal_eps):
             if arr is not None:
                 arr.setflags(write=False)

@@ -168,6 +168,7 @@ def test_location_validation():
         LocationDomain([(0.0, 0.0)], [0.5], personal_eps=[0.0])
 
 
+@pytest.mark.filterwarnings("error")
 def test_domain_validation():
     pair = [(0.0, 0.0), (1.0, 0.0)]
     for positions, priors, eps, fragment in [
@@ -175,6 +176,9 @@ def test_domain_validation():
         ([(0.0, 0.0, 0.0)], [1.0], None, "shape (n, 2)"),
         (pair, [1.0], None, "priors must have shape (2,)"),
         ([(0.0, 0.0), (math.inf, 0.0)], [0.5, 0.5], None, "coordinates must be finite"),
+        # finite coordinates whose difference, or whose hypot, overflows
+        ([(-1e308, 0.0), (1e308, 0.0)], [0.5, 0.5], None, "pairwise distances overflow"),
+        ([(0.0, 0.0), (1.5e308, 1.5e308)], [0.5, 0.5], None, "pairwise distances overflow"),
         (pair, [0.5, math.nan], None, "priors must be finite"),
         (pair, [0.5, math.inf], None, "priors must be finite"),
         (pair, [0.0, 0.0], None, "positive total mass"),

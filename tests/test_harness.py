@@ -11,24 +11,21 @@ import pytest
 from locobf import (
     LocationDomain,
     ObfuscationMatrix,
+    PrivacyParams,
+    SweepConfig,
+    aggregate_cells,
     build_matrix_constant,
     load_domain,
     load_matrix_rows,
     load_metrics,
     load_partition,
-    save_domain,
-)
-from locobf.cli import (
-    ALGORITHMS,
-    SWEEP_METRICS,
-    SweepConfig,
-    aggregate_cells,
-    main,
     parse_sweep_config,
     run_sweep,
+    save_domain,
     worker_travel_distance,
 )
-from locobf.cli import _parse_synth_spec
+from locobf.cli import main
+from locobf.experiment import ALGORITHMS, SWEEP_METRICS, _parse_synth_spec, run_partition
 
 
 @pytest.fixture
@@ -103,13 +100,17 @@ def test_partition_infeasible_params(line6_file, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_partition_rejects_baseline(line6_file, capsys):
-    code = main([
-        "partition", "--dataset", line6_file, "--algorithm", "em-baseline",
-        "--eps", "1.0", "--em", "0.1",
-    ])
-    assert code == 1
-    assert "usage error" in capsys.readouterr().err
+def test_partition_rejects_baseline(tmp_path, line6, line6_file, capsys):
+    # a usage error, checked before the dataset is read
+    for dataset in (line6_file, str(tmp_path / "missing.csv")):
+        code = main([
+            "partition", "--dataset", dataset, "--algorithm", "em-baseline",
+            "--eps", "1.0", "--em", "0.1",
+        ])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="does not produce a partition"):
+        run_partition(line6, "em-baseline", PrivacyParams(1.0, 0.1), 0)
 
 
 def test_evaluate_command(tmp_path, line6_file):
@@ -264,7 +265,7 @@ def test_run_sweep_marks_infeasible_cells(tmp_path):
 def test_run_sweep_computes_shared_cells_once(tmp_path, monkeypatch):
     """em-baseline reuses the hilbert walk, also when it is infeasible, and
     qk-personalized cells that differ only in eps are one computation."""
-    import locobf.cli as cli
+    import locobf.experiment as experiment
 
     def logged(log, fn):
         def wrapper(*args, **kwargs):
@@ -273,8 +274,9 @@ def test_run_sweep_computes_shared_cells_once(tmp_path, monkeypatch):
         return wrapper
 
     walks, cells = [], []  # params per walk, algorithm per computed cell
-    monkeypatch.setattr(cli, "best_hilbert_partition", logged(walks, cli.best_hilbert_partition))
-    monkeypatch.setattr(cli, "_run_cell", logged(cells, cli._run_cell))
+    monkeypatch.setattr(experiment, "best_hilbert_partition",
+                        logged(walks, experiment.best_hilbert_partition))
+    monkeypatch.setattr(experiment, "_run_cell", logged(cells, experiment._run_cell))
 
     def sweep(algorithms, name):
         config = SweepConfig(
@@ -307,6 +309,9 @@ def test_sweep_config_rejects_bad_parameters():
             SweepConfig("synth:n=16", (1.0, bad), (0.05,), ("hilbert",), (1,), "out")
         with pytest.raises(ValueError, match="em_values must be finite"):
             SweepConfig("synth:n=16", (1.0,), (bad,), ("hilbert",), (1,), "out")
+    for seeds in ((-3,), (1, -1)):
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            SweepConfig("synth:n=16", (1.0,), (0.05,), ("hilbert",), seeds, "out")
 
 
 def test_aggregate_cells_is_pure():
@@ -455,6 +460,7 @@ def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_main_usage_and_io_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     assert main([
@@ -462,30 +468,40 @@ def test_main_usage_and_io_errors(tmp_path, capsys):
         "--eps", "1.0", "--em", "0.1",
     ]) == 3
     capsys.readouterr()
+    far = tmp_path / "far.csv"  # distances overflow float64
+    far.write_text("id,x_km,y_km,prior\n0,-1e308,0,0.25\n1,1e308,0,0.25\n"
+                   "2,0,0,0.25\n3,5,0,0.25\n")
+    assert main([
+        "partition", "--dataset", str(far), "--order", "5", "--eps", "1", "--em", "0",
+    ]) == 3
+    assert "pairwise distances overflow" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_cleanly():
-    # the package does not import cli, so runpy finds no stale module to warn about
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's locobf."""
     import locobf
     src = str(Path(locobf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "locobf.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs_cleanly():
+    # the package does not import cli, so runpy finds no stale module to warn about
+    proc = _fresh_python("-m", "locobf.cli", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "wtd" in proc.stdout
 
 
-def test_package_resolves_cli_names_lazily():
-    import locobf
-    import locobf.cli as cli
-    from locobf import SweepConfig, run_sweep
-    assert run_sweep is cli.run_sweep and SweepConfig is cli.SweepConfig
-    assert locobf.cli.main is main
-    assert locobf.worker_travel_distance is cli.worker_travel_distance
-    with pytest.raises(AttributeError, match="no_such_name"):
-        locobf.no_such_name
+def test_package_exports_the_engine_without_importing_cli():
+    proc = _fresh_python("-c", (
+        "import sys, locobf, locobf.experiment as e\n"
+        "assert 'locobf.cli' not in sys.modules\n"
+        "assert locobf.run_sweep is e.run_sweep and locobf.SweepConfig is e.SweepConfig\n"
+        "assert locobf.run_wtd is e.run_wtd\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_algorithm_names_are_stable():
