@@ -7,11 +7,11 @@ posterior mode (the Bayesian attack). The metrics here quantify what
 those attacks achieve and what the mechanism costs in utility.
 """
 
-import csv
-from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _csvio
 
 __all__ = [
     "posterior",
@@ -122,6 +122,9 @@ def success_prob(domain, matrix, true_id):
     return float(compute_metrics(domain, matrix).success[true_id])
 
 
+_METRICS_HEADER = ["metric", "location_or_pseudo_id", "value"]
+
+
 def save_metrics(report, stream, metrics=None):
     """Write metric,location_or_pseudo_id,value rows; scalars leave the id blank."""
     chosen = MetricsReport.NAMES if metrics is None else tuple(metrics)
@@ -130,39 +133,33 @@ def save_metrics(report, stream, metrics=None):
         raise ValueError(
             f"unknown metric name {unknown[0]!r}; valid names: {', '.join(MetricsReport.NAMES)}"
         )
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", newline="") as fh:
-            save_metrics(report, fh, metrics)
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["metric", "location_or_pseudo_id", "value"])
+    rows = []
     for name in chosen:
         value = getattr(report, name)
         if np.ndim(value) == 0:
-            writer.writerow([name, "", f"{float(value):.12g}"])
+            rows.append([name, "", _csvio.num(float(value))])
         else:
-            for i, v in enumerate(value):
-                writer.writerow([name, i, f"{float(v):.12g}"])
+            rows.extend([name, i, _csvio.num(float(v))] for i, v in enumerate(value))
+    _csvio.write(stream, _METRICS_HEADER, rows)
 
 
 def load_metrics(source):
     """Read back a metrics CSV into {metric: scalar or id->value dict}."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_metrics(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != ["metric", "location_or_pseudo_id", "value"]:
+    lines = _csvio.lines(source)
+    if next(lines, (1, None))[1] != _METRICS_HEADER:
         raise ValueError("metrics header must be metric,location_or_pseudo_id,value")
     out = {}
-    for row in reader:
-        if not row:
-            continue
-        name, loc, value = row[0], row[1], float(row[2])
+    for lineno, row in lines:
+        if len(row) != 3:
+            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        name, loc, value = row
         if name not in MetricsReport.NAMES:
-            raise ValueError(f"unknown metric name {name!r} in file")
-        if loc == "":
-            out[name] = value
-        else:
-            out.setdefault(name, {})[int(loc)] = value
+            raise ValueError(f"line {lineno}: unknown metric name {name!r}")
+        try:
+            if loc == "":
+                out[name] = float(value)
+            else:
+                out.setdefault(name, {})[int(loc)] = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed numeric field") from None
     return out

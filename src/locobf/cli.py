@@ -6,11 +6,10 @@ Exit codes: 0 success, 1 usage error, 2 infeasible privacy parameters,
 """
 
 import argparse
-import contextlib
-import csv
 import math
 import sys
 
+from . import _csvio
 from .adversary import MetricsReport, compute_metrics, save_metrics
 from .domain import (
     DomainFormatError,
@@ -74,16 +73,6 @@ def _float_pair(text):
     return low, high
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The file at `path`, opened for writing, or stdout (left open) when no path is given."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", newline="") as fh:
-        yield fh
-
-
 def cmd_synth(args):
     if args.prior_low > args.prior_high:
         raise _UsageError("need --prior-low <= --prior-high")
@@ -91,8 +80,7 @@ def cmd_synth(args):
                           args.seed, args.grid_side)
     if args.eps_range is not None:
         domain = _personalize(domain, args.eps_range, args.seed)
-    with _output(args.out) as out:
-        save_domain(domain, out)
+    save_domain(domain, args.out or sys.stdout)
     return 0
 
 
@@ -104,11 +92,10 @@ def cmd_partition(args):
     config = QkConfig(max_samp=args.max_samp, max_iter=args.max_iter, seed=args.seed)
     part, dom = run_partition(domain, args.algorithm, params, args.seed, order=args.order,
                               qk_config=config, eps_range=args.eps_range)
-    with _output(args.out) as out:
-        save_partition(part, out)
+    save_partition(part, args.out or sys.stdout)
     sizes = [p.size for p in part.plss]
     summary = (
-        f"k={part.k} avg_diam_km={weighted_avg_diameter(dom, part.plss):.12g} "
+        f"k={part.k} avg_diam_km={_csvio.num(weighted_avg_diameter(dom, part.plss))} "
         f"min_size={min(sizes)} max_size={max(sizes)}"
     )
     print(summary, file=sys.stdout if args.out else sys.stderr)
@@ -127,11 +114,9 @@ def cmd_evaluate(args):
             )
     matrix = build_matrix(domain, partition)
     if args.matrix_out:
-        with open(args.matrix_out, "w", newline="") as fh:
-            save_matrix(matrix, fh)
+        save_matrix(matrix, args.matrix_out)
     report = compute_metrics(domain, matrix)
-    with _output(args.out) as out:
-        save_metrics(report, out, metrics)
+    save_metrics(report, args.out or sys.stdout, metrics)
     return 0
 
 
@@ -145,13 +130,11 @@ def cmd_wtd(args):
     params = PrivacyParams(args.eps, args.em, args.lam)
     private, reference = run_wtd(domain, args.algorithm, params, args.seed, args.tasks,
                                  args.idle, args.eps_range)
+    private, reference = _csvio.num(private), _csvio.num(reference)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "value"])
-            writer.writerow(["wtd_km", f"{private:.12g}"])
-            writer.writerow(["nonprivate_km", f"{reference:.12g}"])
-    print(f"wtd_km={private:.12g} nonprivate_km={reference:.12g}")
+        _csvio.write(args.out, ["metric", "value"],
+                     [["wtd_km", private], ["nonprivate_km", reference]])
+    print(f"wtd_km={private} nonprivate_km={reference}")
     return 0
 
 

@@ -6,12 +6,12 @@ privacy budget. Everything downstream (partitioning, the release matrix,
 the adversary metrics) works on these values.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import _csvio
 
 __all__ = [
     "DomainFormatError",
@@ -258,14 +258,10 @@ def load_domain(source):
     ``source`` may be a path or an open text stream. Priors are
     normalized; malformed rows raise DomainFormatError naming the line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_domain(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainFormatError("line 1: empty dataset stream") from None
+    lines = _csvio.lines(source)
+    header = next(lines, (1, None))[1]
+    if header is None:
+        raise DomainFormatError("line 1: empty dataset stream")
     header = [h.strip().lower() for h in header]
     if header != _HEADER and header != _HEADER + ["eps"]:
         raise DomainFormatError(
@@ -273,9 +269,7 @@ def load_domain(source):
         )
     has_eps = len(header) == 5
     rows = {}  # id -> (x, y, prior, eps)
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in lines:
         if len(row) != len(header):
             raise DomainFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
@@ -325,18 +319,10 @@ def save_domain(domain, stream):
 
     ``stream`` may be a path or an open text stream, like load_domain.
     """
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", newline="") as fh:
-            save_domain(domain, fh)
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    eps = domain.personal_eps
-    writer.writerow(_HEADER + ([] if eps is None else ["eps"]))
-    for i, ((x, y), prior) in enumerate(zip(domain.positions.tolist(), domain.priors.tolist())):
-        row = [i, f"{x:.12g}", f"{y:.12g}", f"{prior:.12g}"]
-        if eps is not None:
-            row.append(f"{eps[i]:.12g}")
-        writer.writerow(row)
+    budgets = [] if domain.personal_eps is None else [domain.personal_eps]
+    columns = np.column_stack([domain.positions, domain.priors] + budgets)
+    _csvio.write(stream, _HEADER + ["eps"] * len(budgets),
+                 ([i, *map(_csvio.num, values)] for i, values in enumerate(columns.tolist())))
 
 
 def synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0, grid_side=16):

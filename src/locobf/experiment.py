@@ -7,13 +7,13 @@ Every random draw comes from a substream of the run's seed, one per
 purpose, so adding a consumer never shifts another consumer's draws.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import _csvio
 from .adversary import compute_metrics
 from .domain import (
     InfeasibleParamsError,
@@ -166,22 +166,23 @@ class SweepConfig:
 
 
 def parse_sweep_config(source):
-    """Parse the flat key = value sweep format (comma-separated lists)."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            return parse_sweep_config(fh)
-    values = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = val.strip()
+    """Parse the flat key = value sweep format (comma-separated lists).
+
+    A bad value, a synth: dataset spec included, raises ValueError naming its key and line.
+    """
+    values = {}  # key -> (line number, value text)
+    with _csvio.opened(source) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"line {lineno}: expected key = value")
+            key, _, val = line.partition("=")
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            values[key] = (lineno, val.strip())
     required = {"dataset", "eps_values", "em_values", "algorithms", "seeds", "output_dir"}
     missing = required - values.keys()
     if missing:
@@ -189,13 +190,27 @@ def parse_sweep_config(source):
     unknown = values.keys() - required
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+
+    def parsed(key, parse):
+        lineno, text = values[key]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+
+    def listed(key, cast):
+        return parsed(key, lambda text: tuple(cast(v) for v in text.split(",")))
+
+    dataset = values["dataset"][1]
+    if dataset.startswith("synth:"):
+        parsed("dataset", _parse_synth_spec)
     return SweepConfig(
-        dataset=values["dataset"],
-        eps_values=tuple(float(v) for v in values["eps_values"].split(",")),
-        em_values=tuple(float(v) for v in values["em_values"].split(",")),
-        algorithms=tuple(a.strip() for a in values["algorithms"].split(",")),
-        seeds=tuple(int(v) for v in values["seeds"].split(",")),
-        output_dir=values["output_dir"],
+        dataset=dataset,
+        eps_values=listed("eps_values", float),
+        em_values=listed("em_values", float),
+        algorithms=listed("algorithms", str.strip),
+        seeds=listed("seeds", int),
+        output_dir=values["output_dir"][1],
     )
 
 
@@ -251,11 +266,10 @@ def aggregate_cells(cells):
     tables = {}
     for algorithm, eps, em, seed, values in cells:
         for metric in SWEEP_METRICS:
-            value = "NA" if values is None else f"{values[metric]:.12g}"
-            long_rows.append((algorithm, f"{eps:.12g}", f"{em:.12g}", str(seed), metric, value))
-            tables.setdefault((metric, algorithm), []).append(
-                (f"{eps:.12g}", f"{em:.12g}", str(seed), value)
-            )
+            value = "NA" if values is None else _csvio.num(values[metric])
+            cell = (_csvio.num(eps), _csvio.num(em), str(seed))
+            long_rows.append((algorithm, *cell, metric, value))
+            tables.setdefault((metric, algorithm), []).append((*cell, value))
     return long_rows, tables
 
 
@@ -286,13 +300,8 @@ def run_sweep(config, output_dir=None):
                     cells.append((algorithm, eps, em, seed, done[key]))
     long_rows, tables = aggregate_cells(cells)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "eps", "em", "seed", "metric", "value"])
-        writer.writerows(long_rows)
+    _csvio.write(out_dir / "results.csv",
+                 ["algorithm", "eps", "em", "seed", "metric", "value"], long_rows)
     for (metric, algorithm), rows in tables.items():
-        with open(out_dir / f"{metric}__{algorithm}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["eps", "em", "seed", "value"])
-            writer.writerows(rows)
+        _csvio.write(out_dir / f"{metric}__{algorithm}.csv", ["eps", "em", "seed", "value"], rows)
     return out_dir

@@ -6,11 +6,11 @@ eps_region / (2 * diam), so any two members of the same set produce
 nearly indistinguishable report distributions.
 """
 
-import csv
-from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _csvio
 
 __all__ = [
     "ObfuscationMatrix",
@@ -189,37 +189,31 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
 
 def save_matrix(matrix, stream):
     """Write the probabilities at 12 significant digits, one row per true id."""
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", newline="") as fh:
-            save_matrix(matrix, fh)
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["true_id"] + [str(j) for j in range(matrix.n)])
-    for i in range(matrix.n):
-        writer.writerow([i] + [f"{p:.12g}" for p in matrix.rows[i]])
+    # formatted a row at a time: the whole matrix as Python floats would hold n^2 objects
+    _csvio.write(stream, ["true_id", *map(str, range(matrix.n))],
+                 ([i, *map(_csvio.num, row.tolist())] for i, row in enumerate(matrix.rows)))
 
 
 def load_matrix_rows(source):
     """Read back a saved matrix; returns the bare probability array."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_matrix_rows(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
+    lines = _csvio.lines(source)
+    header = next(lines, (1, None))[1]
     if not header or header[0] != "true_id":
         raise ValueError("matrix header must start with true_id")
     n = len(header) - 1
     rows = np.full((n, n), np.nan)
-    for row in reader:
-        if not row:
-            continue
+    seen = set()
+    for lineno, row in lines:
         try:
-            i = int(row[0])
+            i, values = int(row[0]), [float(v) for v in row[1:]]
         except ValueError:
-            i = -1
-        if len(row) != n + 1 or not 0 <= i < n:
-            raise ValueError(f"malformed matrix row for true id {row[0]}")
-        rows[i] = [float(v) for v in row[1:]]
+            raise ValueError(f"line {lineno}: malformed numeric field") from None
+        if len(values) != n or not 0 <= i < n:
+            raise ValueError(f"line {lineno}: malformed matrix row for true id {row[0]}")
+        if i in seen:
+            raise ValueError(f"line {lineno}: duplicate row for true id {i}")
+        seen.add(i)
+        rows[i] = values
     if np.isnan(rows).any():
         raise ValueError("matrix file is missing rows")
     return rows

@@ -6,13 +6,12 @@ walks a Hilbert ordering inward from both ends, closing a set as soon as
 it passes the bound, and reconciles whatever is left in the middle.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _csvio
 from .domain import (
     InfeasibleParamsError,
     PrivacyParams,
@@ -89,8 +88,11 @@ class Partition:
                 owner[m] = j
         return owner
 
-    def validate(self, domain, check_bound=True):
-        """Raise ValueError on any structural or bound violation."""
+    def validate(self, domain):
+        """Raise ValueError on any structural or bound violation.
+
+        The bound is checked only when ``params`` is known.
+        """
         seen = set()
         for pls in self.plss:
             if len(pls.members) < 2:
@@ -103,7 +105,7 @@ class Partition:
                 raise ValueError("cached diameter out of sync with members")
             if abs(pls.mass - prior_mass(domain, pls.members)) > 1e-9:
                 raise ValueError("cached mass out of sync with members")
-            if check_bound and self.params is not None:
+            if self.params is not None:
                 if not satisfies_error_bound(domain, pls.members, pls.eps_region, self.params.em):
                     raise ValueError(
                         f"protection set {pls.members} misses the error floor"
@@ -326,15 +328,9 @@ _PART_HEADER = ["pls_id", "location_id", "eps_region", "diam_km"]
 
 def save_partition(partition, stream):
     """Write one membership row per location: pls_id,location_id,eps_region,diam_km."""
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", newline="") as fh:
-            save_partition(partition, fh)
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_PART_HEADER)
-    for j, pls in enumerate(partition.plss):
-        for m in pls.members:
-            writer.writerow([j, m, f"{pls.eps_region:.12g}", f"{pls.diam:.12g}"])
+    _csvio.write(stream, _PART_HEADER,
+                 ([j, m, _csvio.num(pls.eps_region), _csvio.num(pls.diam)]
+                  for j, pls in enumerate(partition.plss) for m in pls.members))
 
 
 def load_partition(domain, source):
@@ -344,19 +340,14 @@ def load_partition(domain, source):
     recomputed and the stored diameter is checked against the recomputed
     one, so a file paired with the wrong dataset fails loudly.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_partition(domain, fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
+    lines = _csvio.lines(source)
+    header = next(lines, (1, None))[1]
     if header is None or [h.strip().lower() for h in header] != _PART_HEADER:
         raise ValueError("partition header must be pls_id,location_id,eps_region,diam_km")
     members = {}
     eps_of = {}
     diam_of = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in lines:
         if len(row) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields")
         try:
@@ -379,9 +370,9 @@ def load_partition(domain, source):
         if not np.isclose(pls.diam, diam_of[pls_id], rtol=1e-6, atol=1e-9):
             raise ValueError(
                 f"set {pls_id}: stored diameter {diam_of[pls_id]} does not match "
-                f"the dataset ({pls.diam:.12g})"
+                f"the dataset ({_csvio.num(pls.diam)})"
             )
         plss.append(pls)
     part = Partition(tuple(plss), None, "file")
-    part.validate(domain, check_bound=False)
+    part.validate(domain)
     return part

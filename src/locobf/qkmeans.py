@@ -42,11 +42,12 @@ def eps_weight(eps_a, eps_b, lam):
     """Distance weight for a budget mismatch; ranges over [lam, 1 + lam].
 
     Equal budgets give the smallest weight (joining preferred); extreme
-    mismatch approaches 1 + lam.
+    mismatch approaches 1 + lam. Budgets may be arrays, which broadcast.
     """
-    if not (eps_a > 0 and eps_b > 0):
+    lo, hi = np.minimum(eps_a, eps_b), np.maximum(eps_a, eps_b)
+    # lo's minimum is the smallest budget of either argument; a NaN budget makes it NaN
+    if not lo.min() > 0:
         raise ValueError("budgets must be > 0")
-    lo, hi = (eps_a, eps_b) if eps_a <= eps_b else (eps_b, eps_a)
     return 1.0 + lam - lo / hi
 
 
@@ -77,14 +78,6 @@ def seed_centers(domain, k, rng):
         free[pick] = False
         np.minimum(nearest, domain.distances[pick], out=nearest)
     return domain.positions[chosen].copy()
-
-
-def _mismatch_column(domain, base_col, cluster_eps, lam):
-    # effective joining distance against a cluster with budget cluster_eps
-    weights = 1.0 + lam - np.minimum(domain.personal_eps, cluster_eps) / np.maximum(
-        domain.personal_eps, cluster_eps
-    )
-    return base_col * weights
 
 
 def assign_round(domain, centers, params, personalized=False, weighted=None):
@@ -139,7 +132,7 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
         live[i] = np.inf
         placed += 1
         if join(i, j, sums[j] + prior_of[i] * dist[i]) and weighted:
-            live[:, j] = _mismatch_column(domain, base[:, j], cluster_eps[j], lam)
+            live[:, j] = base[:, j] * eps_weight(domain.personal_eps, cluster_eps[j], lam)
             live[assigned, j] = np.inf
         if len(members[j]) >= 2 and _admits(
             domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em

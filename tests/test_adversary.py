@@ -188,6 +188,15 @@ def test_metrics_subset_and_unknown_name(two_loc):
 def test_metrics_parse_errors():
     with pytest.raises(ValueError, match="header"):
         load_metrics(io.StringIO("a,b,c\n"))
-    bad = "metric,location_or_pseudo_id,value\nnope,,1.0\n"
-    with pytest.raises(ValueError, match="nope"):
-        load_metrics(io.StringIO(bad))
+    header = "metric,location_or_pseudo_id,value\n"
+    for body, fragment in [
+        ("nope,,1.0\n", "nope"),
+        ("qloss,\n", "line 2: expected 3 fields"),
+        # the whitespace-only line is skipped, and the error names the line after it
+        ("qloss,,1.0\n   \nqloss,\n", "line 4: expected 3 fields"),
+        ("cond_err,x,1.0\n", "line 2: malformed numeric field"),
+        ("qloss,,abc\n", "line 2: malformed numeric field"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            load_metrics(io.StringIO(header + body))
+    assert load_metrics(io.StringIO(header + "\n  \nqloss,,1.5\n")) == {"qloss": 1.5}

@@ -43,6 +43,8 @@ RUNS = (
     ("evaluate", ["evaluate", "--dataset", "{dir}/dom.csv", "--partition", "{dir}/part.csv",
                   "--matrix-out", "{dir}/matrix.csv", "--out", "{dir}/metrics.csv"],
      ["matrix.csv", "metrics.csv"]),
+    ("evaluate-subset-stdout", ["evaluate", "--dataset", "{dir}/dom.csv", "--partition",
+                                "{dir}/part.csv", "--metrics", "qloss,cond_err"], []),
     ("wtd-hilbert", ["wtd", "--dataset", "{dir}/dom.csv", "--eps", "1", "--em", "0.2",
                      "--tasks", "15", "--idle", "6", "--seed", "7", "--out", "{dir}/wtd_h.csv"],
      ["wtd_h.csv"]),
@@ -70,6 +72,7 @@ EXPECTED = {
     "qk-personalized": "bc2fbf428dc410cf4a621330b27e2e6b7089da64e95d8462227209758e643e12",
     "qk-personalized-eps": "79b725fda072ad75a25832b7d113a9e983896a36e69b2e06407fdbc2518b2399",
     "evaluate": "495769f25bb89fa7e38e5360080730d61308e2dd53dd342b5d7809458cd47a66",
+    "evaluate-subset-stdout": "fe7ca76ea40f40dcd0b88054e45567149598436dcd9c0e48171365e71fa66c96",
     "wtd-hilbert": "9a5d7ea3a4b08cefbe368f403760440aa9185d6264a6bf79a17fd003fc4c973b",
     "wtd-em-baseline": "8712f523a58da3117a11775f7245b56c91fd71de79a3c6d229c6c7d831f2c44e",
     "wtd-qk-personalized": "4bb526ebd6e9795f41ece47be43db5a877a168ae3818a090505cb12b58277b2a",

@@ -20,7 +20,11 @@ from locobf import (
     synth_domain,
 )
 from locobf.domain import _admits
-from reference_impls import brute_min_mean_distance
+from reference_impls import (
+    brute_diameter,
+    brute_min_mean_distance,
+    brute_min_mean_distance_within,
+)
 
 
 def test_diameter(triangle):
@@ -75,6 +79,8 @@ def test_restricted_never_below_unrestricted():
         e = min_mean_distance_within(dom, ids)
         ep = min_mean_distance(dom, ids)
         assert e >= ep - 1e-12
+        assert e == pytest.approx(brute_min_mean_distance_within(dom, ids), rel=1e-12)
+        assert diameter(dom, ids) == pytest.approx(brute_diameter(dom, ids), rel=1e-12)
 
 
 def test_satisfies_error_bound():

@@ -207,6 +207,12 @@ _SWEEP_BASE = (
         (_SWEEP_BASE.replace("eps_values = 0.5", "eps_values = a,b"),
          "could not convert"),
         (_SWEEP_BASE + "no equals sign\n", "expected key = value"),
+        (_SWEEP_BASE.replace("eps_values = 0.5", "eps_values = 1, x"),
+         "line 2: eps_values: could not convert"),
+        (_SWEEP_BASE.replace("seeds = 1", "seeds = 1, 2.5"), "line 5: seeds: invalid literal"),
+        (_SWEEP_BASE.replace("synth:n=16", "synth:n=abc"), "line 1: dataset: invalid literal"),
+        (_SWEEP_BASE.replace("synth:n=16", "synth:n=16,shape=disc"),
+         "line 1: dataset: unknown synth"),
     ],
 )
 def test_parse_sweep_config_errors(text, fragment):

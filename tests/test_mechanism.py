@@ -185,6 +185,9 @@ def test_matrix_roundtrip_via_path(tmp_path, line3):
         ("a,b\n", "header"),
         ("true_id,0,1\n0,0.5,0.5\n", "missing"),
         ("true_id,0,1\n0,0.5,0.5\nx,0.5\n", "malformed"),
+        ("true_id,0,1\n0,0.5,0.5\n0,0.25,0.75\n1,0.5,0.5\n", "line 3: duplicate row for true id 0"),
+        ("true_id,0,1\n0,0.5,0.5\n   \n", "missing rows"),
+        ("true_id,0,1\n0,0.5,0.5\n  \n1,0.5,x\n", "line 4: malformed numeric field"),
     ],
 )
 def test_matrix_parse_errors(text, fragment):

@@ -99,7 +99,6 @@ def test_partition_validate_bound():
     bad = Partition(sets, PrivacyParams(1.0, 0.5), "test")
     with pytest.raises(ValueError, match="floor"):
         bad.validate(dom)
-    bad.validate(dom, check_bound=False)
 
 
 def test_require_feasible_reports_the_floor():

@@ -44,6 +44,11 @@ def test_eps_weight():
     assert eps_weight(100.0, 1.0, lam) == pytest.approx(1.5, abs=0.02)
     with pytest.raises(ValueError):
         eps_weight(0.0, 1.0, lam)
+    budgets = np.array([0.5, 1.0, 1.5, 100.0])
+    weights = eps_weight(budgets, 1.0, lam)
+    assert weights.tolist() == [eps_weight(float(b), 1.0, lam) for b in budgets]
+    with pytest.raises(ValueError):
+        eps_weight(np.array([1.0, 0.0]), 1.0, lam)
 
 
 def test_seed_centers_extremes():
