@@ -29,15 +29,6 @@ __all__ = [
 ]
 
 
-def _posterior_columns(domain, matrix):
-    """Posterior matrix (true x pseudo) and the pseudo marginal."""
-    weighted = domain.priors[:, None] * matrix.rows
-    marginal = weighted.sum(axis=0)
-    if (marginal <= 0).any():
-        raise ValueError("some pseudo-location is never reported; posterior undefined")
-    return weighted / marginal[None, :], marginal
-
-
 def posterior(domain, matrix, pseudo_id):
     """Posterior over true locations given one observed pseudo-location."""
     if not 0 <= pseudo_id < matrix.n:
@@ -68,7 +59,9 @@ def conditional_error(domain, matrix, pseudo_id):
 
 def quality_loss(domain, matrix):
     """Prior-weighted mean distance between true and reported locations."""
-    return float((domain.priors[:, None] * matrix.rows * domain.distances).sum())
+    loss = domain.priors[:, None] * matrix.rows
+    loss *= domain.distances
+    return float(loss.sum())
 
 
 @dataclass(frozen=True)
@@ -84,18 +77,40 @@ class MetricsReport:
     NAMES = ("exp_err", "qloss", "cond_err", "avg_err", "success")
 
 
+# rows per block of the per-true-location reductions; a block's temporaries are O(block * n)
+_BLOCK = 256
+
+
 def compute_metrics(domain, matrix):
-    """All adversary metrics in one vectorized pass: the attack table."""
-    post, marginal = _posterior_columns(domain, matrix)
-    attack_costs = domain.distances @ post
-    cond = attack_costs.min(axis=0)
-    attack = attack_costs.argmin(axis=0)
+    """All adversary metrics in one vectorized pass: the attack table.
+
+    At most two n x n arrays are alive at once: the posterior and the
+    attack costs, during their one product. The product stays whole,
+    because BLAS picks its kernel by shape, and a different kernel can
+    move the last bits of cond_err.
+    """
+    rows, n = matrix.rows, matrix.n
+    post = domain.priors[:, None] * rows
+    marginal = post.sum(axis=0)
+    if (marginal <= 0).any():
+        raise ValueError("some pseudo-location is never reported; posterior undefined")
+    post /= marginal
     mode = post.argmax(axis=0)
+    costs = domain.distances @ post
+    del post
+    attack = costs.argmin(axis=0)
+    cond = costs[attack, np.arange(n)]
+    del costs
     exp_err = float(cond @ marginal)
     qloss = quality_loss(domain, matrix)
-    avg = (matrix.rows * domain.distances[attack, :].T).sum(axis=1)
-    hit = mode[None, :] == np.arange(matrix.n)[:, None]
-    success = (matrix.rows * hit).sum(axis=1)
+    avg = np.empty(n)
+    success = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        block = rows[lo:hi]
+        avg[lo:hi] = (block * domain.distances[attack, lo:hi].T).sum(axis=1)
+        hit = mode[None, :] == np.arange(lo, hi)[:, None]
+        success[lo:hi] = (block * hit).sum(axis=1)
     return MetricsReport(exp_err, qloss, cond, avg, success)
 
 
@@ -127,7 +142,8 @@ _METRICS_HEADER = ["metric", "location_or_pseudo_id", "value"]
 
 def save_metrics(report, stream, metrics=None):
     """Write metric,location_or_pseudo_id,value rows; scalars leave the id blank."""
-    chosen = MetricsReport.NAMES if metrics is None else tuple(metrics)
+    # a name asked for twice is written once, so every file written here loads back
+    chosen = MetricsReport.NAMES if metrics is None else tuple(dict.fromkeys(metrics))
     unknown = [m for m in chosen if m not in MetricsReport.NAMES]
     if unknown:
         raise ValueError(
@@ -144,7 +160,11 @@ def save_metrics(report, stream, metrics=None):
 
 
 def load_metrics(source):
-    """Read back a metrics CSV into {metric: scalar or id->value dict}."""
+    """Read back a metrics CSV into {metric: scalar or id->value dict}.
+
+    A metric is either one scalar row or per-id rows; mixing the two, a
+    repeated scalar or a repeated id raises a ValueError naming the line.
+    """
     lines = _csvio.lines(source)
     if next(lines, (1, None))[1] != _METRICS_HEADER:
         raise ValueError("metrics header must be metric,location_or_pseudo_id,value")
@@ -156,10 +176,20 @@ def load_metrics(source):
         if name not in MetricsReport.NAMES:
             raise ValueError(f"line {lineno}: unknown metric name {name!r}")
         try:
-            if loc == "":
-                out[name] = float(value)
-            else:
-                out.setdefault(name, {})[int(loc)] = float(value)
+            key = None if loc == "" else int(loc)
+            value = float(value)
         except ValueError:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
+        held = out.get(name)
+        if key is None:
+            if held is not None:
+                kind = "per-id values" if isinstance(held, dict) else "a value"
+                raise ValueError(f"line {lineno}: {name} already has {kind}")
+            out[name] = value
+        elif held is not None and not isinstance(held, dict):
+            raise ValueError(f"line {lineno}: {name} already has a scalar value")
+        elif key in out.setdefault(name, {}):
+            raise ValueError(f"line {lineno}: duplicate id {key} for {name}")
+        else:
+            out[name][key] = value
     return out

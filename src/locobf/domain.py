@@ -54,6 +54,27 @@ class InfeasibleParamsError(ValueError):
         )
 
 
+# rows per block of the distance fill; a block's temporaries are O(block * n)
+_BLOCK = 128
+
+
+def _pairwise_distances(positions):
+    """n x n Euclidean distances, filled a row block at a time.
+
+    Each block holds one n-wide temporary besides its slice of the
+    result; np.hypot per element gives the same floats as one
+    whole-matrix call.
+    """
+    xs, ys = positions[:, 0], positions[:, 1]
+    out = np.empty((len(positions), len(positions)))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(positions), _BLOCK):
+            block = out[lo:lo + _BLOCK]
+            np.subtract(xs[lo:lo + _BLOCK, None], xs[None, :], out=block)
+            np.hypot(block, ys[lo:lo + _BLOCK, None] - ys[None, :], out=block)
+    return out
+
+
 class LocationDomain:
     """Finite location set with a normalized prior, held as arrays.
 
@@ -89,10 +110,7 @@ class LocationDomain:
         self.positions = positions
         self.priors = priors / total
         self.personal_eps = personal_eps
-        with np.errstate(over="ignore"):
-            dx = positions[:, 0][:, None] - positions[:, 0][None, :]
-            dy = positions[:, 1][:, None] - positions[:, 1][None, :]
-            self.distances = np.hypot(dx, dy)
+        self.distances = _pairwise_distances(positions)
         if not self.distances.max() < math.inf:
             raise ValueError("pairwise distances overflow float64; coordinates are too far apart")
         for arr in (self.positions, self.priors, self.distances, self.personal_eps):

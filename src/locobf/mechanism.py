@@ -45,7 +45,8 @@ class ObfuscationMatrix:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("rows must be a square matrix")
-        if (rows < 0).any():
+        # fmin skips NaN, so this is (rows < 0).any() without an n x n temporary
+        if np.fmin.reduce(rows, axis=None) < 0:
             raise ValueError("probabilities must be >= 0")
         totals = rows.sum(axis=1)
         # with negatives ruled out, a NaN or infinite entry makes its row total non-finite
@@ -66,24 +67,22 @@ def _exp_rows(domain, groups):
     """Release matrix from (row ids, diameter, eps) groups.
 
     Each row of a group decays with distance at rate eps / (2 * diameter);
-    row_pls records the index of the group that shaped the row.
+    row_pls records the index of the group that shaped the row. The rows
+    are built in one in-place pass, so the matrix is the only n x n array.
     """
     n = domain.n
-    rows = np.empty((n, n), dtype=float)
     row_pls = np.empty(n, dtype=int)
     row_sens = np.empty(n, dtype=float)
     row_eps = np.empty(n, dtype=float)
+    scale = np.empty(n, dtype=float)
     for j, (ids, diam, eps) in enumerate(groups):
-        scale = eps / (2.0 * diam)
-        # scores become weights in place: an all-rows group holds one n x n temporary
-        weights = -scale * domain.distances[ids, :]
-        np.exp(weights, out=weights)
-        totals = weights.sum(axis=1)
-        weights /= totals[:, None]
-        rows[ids, :] = weights
         row_pls[ids] = j
         row_sens[ids] = diam
         row_eps[ids] = eps
+        scale[ids] = eps / (2.0 * diam)
+    rows = np.multiply(domain.distances, -scale[:, None])
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1)[:, None]
     return ObfuscationMatrix(rows, row_pls, row_sens, row_eps)
 
 
@@ -195,25 +194,33 @@ def save_matrix(matrix, stream):
 
 
 def load_matrix_rows(source):
-    """Read back a saved matrix; returns the bare probability array."""
+    """Read back a saved matrix; returns the bare probability array.
+
+    Every entry must be finite and >= 0 and every row total within 1e-9
+    of 1; a row that breaks this raises a ValueError naming its line.
+    """
     lines = _csvio.lines(source)
     header = next(lines, (1, None))[1]
     if not header or header[0] != "true_id":
         raise ValueError("matrix header must start with true_id")
     n = len(header) - 1
-    rows = np.full((n, n), np.nan)
+    rows = np.empty((n, n))
     seen = set()
     for lineno, row in lines:
         try:
-            i, values = int(row[0]), [float(v) for v in row[1:]]
+            i, values = int(row[0]), np.array([float(v) for v in row[1:]])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
         if len(values) != n or not 0 <= i < n:
             raise ValueError(f"line {lineno}: malformed matrix row for true id {row[0]}")
         if i in seen:
             raise ValueError(f"line {lineno}: duplicate row for true id {i}")
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError(f"line {lineno}: probabilities must be finite and >= 0")
+        if not abs(values.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"line {lineno}: row for true id {i} must sum to 1 within 1e-9")
         seen.add(i)
         rows[i] = values
-    if np.isnan(rows).any():
+    if len(seen) != n:
         raise ValueError("matrix file is missing rows")
     return rows

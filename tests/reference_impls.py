@@ -266,6 +266,13 @@ def reference_worker_travel_distance(domain, matrix, tasks, idle_count, rng):
 # arrays and ranks whole arrays; both must give the same bits.
 
 
+def reference_distances(positions):
+    # one broadcast hypot over the whole n x n difference arrays
+    dx = positions[:, 0][:, None] - positions[:, 0][None, :]
+    dy = positions[:, 1][:, None] - positions[:, 1][None, :]
+    return np.hypot(dx, dy)
+
+
 @dataclass(frozen=True)
 class ReferenceLocation:
     id: int
@@ -290,9 +297,7 @@ class ReferenceDomain:
             self.personal_eps = np.array([loc.eps for loc in self.locations], dtype=float)
         else:
             self.personal_eps = None
-        dx = self.positions[:, 0][:, None] - self.positions[:, 0][None, :]
-        dy = self.positions[:, 1][:, None] - self.positions[:, 1][None, :]
-        self.distances = np.hypot(dx, dy)
+        self.distances = reference_distances(self.positions)
 
 
 def reference_synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0,
@@ -364,3 +369,41 @@ def reference_order_ids(domain, order=None, rotation=0, cell_km=1.0):
         keyed.append((reference_hilbert_rank(rx, ry, order), loc.id))
     keyed.sort()
     return [loc_id for _, loc_id in keyed]
+
+
+# The release path as first written: the matrix built one group at a
+# time, each group's rows scored, exponentiated and normalized in their
+# own temporary; and the attack table from the whole posterior, with the
+# avg_err and success products taken over all n x n entries at once. The
+# package builds both with fewer n x n arrays and must give the same bits.
+
+
+def reference_exp_rows(domain, groups):
+    """Rows from (row ids, diameter, eps) groups, one group at a time."""
+    n = domain.n
+    rows = np.empty((n, n), dtype=float)
+    for ids, diam, eps in groups:
+        scale = eps / (2.0 * diam)
+        weights = -scale * domain.distances[ids, :]
+        np.exp(weights, out=weights)
+        totals = weights.sum(axis=1)
+        weights /= totals[:, None]
+        rows[ids, :] = weights
+    return rows
+
+
+def reference_compute_metrics(domain, rows):
+    """(exp_err, qloss, cond_err, avg_err, success) from whole-matrix products."""
+    weighted = domain.priors[:, None] * rows
+    marginal = weighted.sum(axis=0)
+    post = weighted / marginal[None, :]
+    attack_costs = domain.distances @ post
+    cond = attack_costs.min(axis=0)
+    attack = attack_costs.argmin(axis=0)
+    mode = post.argmax(axis=0)
+    exp_err = float(cond @ marginal)
+    qloss = float((domain.priors[:, None] * rows * domain.distances).sum())
+    avg = (rows * domain.distances[attack, :].T).sum(axis=1)
+    hit = mode[None, :] == np.arange(len(rows))[:, None]
+    success = (rows * hit).sum(axis=1)
+    return exp_err, qloss, cond, avg, success

@@ -200,3 +200,28 @@ def test_metrics_parse_errors():
         with pytest.raises(ValueError, match=fragment):
             load_metrics(io.StringIO(header + body))
     assert load_metrics(io.StringIO(header + "\n  \nqloss,,1.5\n")) == {"qloss": 1.5}
+
+
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        ("qloss,,1\nqloss,0,2\n", "line 3: qloss already has a scalar value"),
+        ("cond_err,0,1\ncond_err,,2\n", "line 3: cond_err already has per-id values"),
+        ("qloss,,1\nqloss,,2\n", "line 3: qloss already has a value"),
+        ("cond_err,0,1\ncond_err,1,2\ncond_err,0,3\n", "line 4: duplicate id 0 for cond_err"),
+    ],
+)
+def test_metrics_mixed_or_repeated_rows_rejected(body, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        load_metrics(io.StringIO("metric,location_or_pseudo_id,value\n" + body))
+
+
+def test_repeated_metric_name_is_written_once(two_loc):
+    dom, m = two_loc
+    report = compute_metrics(dom, m)
+    once, twice = io.StringIO(), io.StringIO()
+    save_metrics(report, once, metrics=["qloss", "cond_err"])
+    save_metrics(report, twice, metrics=["qloss", "cond_err", "qloss", "cond_err"])
+    assert twice.getvalue() == once.getvalue()
+    twice.seek(0)
+    assert set(load_metrics(twice)) == {"qloss", "cond_err"}

@@ -188,6 +188,11 @@ def test_matrix_roundtrip_via_path(tmp_path, line3):
         ("true_id,0,1\n0,0.5,0.5\n0,0.25,0.75\n1,0.5,0.5\n", "line 3: duplicate row for true id 0"),
         ("true_id,0,1\n0,0.5,0.5\n   \n", "missing rows"),
         ("true_id,0,1\n0,0.5,0.5\n  \n1,0.5,x\n", "line 4: malformed numeric field"),
+        ("true_id,0,1\n0,0.5,0.5\n1,nan,0.5\n", "line 3: probabilities must be finite and >= 0"),
+        ("true_id,0,1\n0,inf,0.5\n1,0.5,0.5\n", "line 2: probabilities must be finite and >= 0"),
+        ("true_id,0,1,2\n0,-3,4,0\n", "line 2: probabilities must be finite and >= 0"),
+        ("true_id,0,1\n1,0,7\n0,1,0\n", "line 2: row for true id 1 must sum to 1"),
+        ("true_id,0,1\n0,0.5,0.5\n1,0.5,0.5000001\n", "line 3: row for true id 1 must sum to 1"),
     ],
 )
 def test_matrix_parse_errors(text, fragment):

@@ -1,0 +1,142 @@
+"""Per-layer wall time and tracemalloc peak of the release path, as JSON.
+
+    python tools/bench_layers.py --out BENCH.json
+    python tools/bench_layers.py --out BENCH.json --tree parent=/path/to/other/checkout
+
+Each tree is a source checkout (a directory holding src/locobf); the
+default is the checkout this script lives in, labelled "current". Every
+tree runs in its own interpreter with BLAS on one thread, on the same
+fixed inputs: for n = 50, 200, 1000 and 3000, synth_domain(n,
+seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))), partitioned by
+best_hilbert_partition at eps=1, em=0.1. The layers are synth_domain,
+best_hilbert_partition, build_matrix, build_matrix_constant (at the
+largest set diameter), compute_metrics (on the build_matrix matrix) and
+sample_pseudo (single-user draws, seed [n, 1]).
+
+A layer's wall_s is the median of three untraced calls; its peak_mib
+is the tracemalloc peak of one more, traced call, and peak_n2 the same
+peak in units of one n x n float64 array.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (50, 200, 1000, 3000)
+EPS, EM = 1.0, 0.1
+DRAWS = 2000  # single-user sample_pseudo calls per timed run
+REPEATS = 3  # untraced calls per layer
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _measure(fn):
+    """(median untraced wall seconds, traced peak bytes, result)."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times), peak, result
+
+
+def run_layers():
+    """Every layer at every size, from the locobf on sys.path."""
+    import numpy as np
+
+    import locobf as lb
+
+    layers = {}
+
+    def record(layer, n, fn, extra=None):
+        wall, peak, result = _measure(fn)
+        entry = {"wall_s": wall, "peak_mib": peak / 2**20, "peak_n2": peak / (8 * n * n)}
+        entry.update(extra(wall) if extra else {})
+        layers.setdefault(layer, {})[str(n)] = entry
+        return result
+
+    for n in SIZES:
+        side = max(16, math.ceil(math.sqrt(2 * n)))
+        dom = record("synth_domain", n, lambda: lb.synth_domain(n, seed=[n, 0], grid_side=side))
+        part = record("best_hilbert_partition", n,
+                      lambda: lb.best_hilbert_partition(dom, lb.PrivacyParams(EPS, EM)))
+        matrix = record("build_matrix", n, lambda: lb.build_matrix(dom, part))
+        d_max = max(p.diam for p in part.plss)
+        record("build_matrix_constant", n, lambda: lb.build_matrix_constant(dom, d_max, EPS))
+        record("compute_metrics", n, lambda: lb.compute_metrics(dom, matrix))
+
+        def draws():
+            rng = np.random.default_rng([n, 1])
+            users = rng.integers(n, size=DRAWS).tolist()
+            return [lb.sample_pseudo(matrix, u, rng) for u in users]
+
+        record("sample_pseudo", n, draws,
+               lambda wall: {"draws": DRAWS, "draws_per_s": DRAWS / wall})
+    return layers
+
+
+def _run_tree(root):
+    """run_layers in a fresh interpreter importing locobf from the tree's src/."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update({var: "1" for var in BLAS_VARS})
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_layers; "
+            "print(json.dumps(bench_layers.run_layers()))")
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _commit(root):
+    """HEAD of root ("-dirty" when modified) for a git checkout, else None."""
+    if not (root / ".git").exists():
+        return None
+    proc = subprocess.run(
+        ["git", "-C", str(root), "describe", "--always", "--dirty", "--abbrev=40"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    return proc.stdout.strip() or None
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR",
+                    help="a checkout to measure (repeatable); default current=<this checkout>")
+    args = ap.parse_args(argv)
+    trees = [spec.split("=", 1) for spec in args.tree] or [["current", str(ROOT)]]
+    if any(len(t) != 2 for t in trees):
+        ap.error("--tree takes LABEL=DIR")
+    import numpy as np
+
+    report = {
+        "sizes": SIZES,
+        "inputs": "synth_domain(n, seed=[n, 0], grid_side=max(16, ceil(sqrt(2n)))); "
+                  f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]",
+        "repeats": REPEATS,
+        "blas_threads": 1,
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "platform": platform.platform()},
+        "trees": {},
+    }
+    for label, directory in trees:
+        root = Path(directory).resolve()
+        report["trees"][label] = {"commit": _commit(root), "layers": _run_tree(root)}
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()
