@@ -171,8 +171,9 @@ def prior_mass(domain, members):
     return float(domain.priors[idx].sum()) if idx.size else 0.0
 
 
-def _floor_or_none(domain, members):
-    # error floor of a non-empty set, or None when its prior mass is zero
+def _floor_or_none(domain, members, within=False):
+    # error floor of a non-empty set, or None when its prior mass is zero;
+    # the candidate estimates are the set's own members when within is set
     idx = _member_indices(domain, members)
     if idx.size == 0:
         raise ValueError("member set must be non-empty")
@@ -180,7 +181,8 @@ def _floor_or_none(domain, members):
     mass = weights.sum()
     if not mass > 0:
         return None
-    return float((domain.distances[:, idx] @ weights).min() / mass)
+    candidates = np.ix_(idx, idx) if within else (slice(None), idx)
+    return float((domain.distances[candidates] @ weights).min() / mass)
 
 
 def min_mean_distance(domain, members):
@@ -203,14 +205,10 @@ def min_mean_distance_within(domain, members):
     the best estimate lies outside the set (e.g. a point central to a
     spread-out triangle).
     """
-    idx = _member_indices(domain, members)
-    if idx.size == 0:
-        raise ValueError("member set must be non-empty")
-    weights = domain.priors[idx]
-    mass = weights.sum()
-    if not mass > 0:
+    floor = _floor_or_none(domain, members, within=True)
+    if floor is None:
         raise ValueError("member set has zero prior mass")
-    return float((domain.distances[np.ix_(idx, idx)] @ weights).min() / mass)
+    return floor
 
 
 def satisfies_error_bound(domain, members, eps_region, em):

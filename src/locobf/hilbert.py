@@ -1,10 +1,10 @@
 """Hilbert-curve ranking of domain locations, with the four rotated walks.
 
-Locations are snapped to a square cell grid over the domain's bounding
-box and ordered by their position along a Hilbert walk of that grid. The
-walk of order m covers a 2^m x 2^m grid, starting in the lower-left cell
-and ending in the lower-right one; the 90/180/270 degree variants rotate
-the snapped cells about the grid center before ranking.
+Locations are snapped to a grid of 1 km cells over the domain's
+bounding box and ordered by their position along a Hilbert walk of that
+grid. The walk of order m covers a 2^m x 2^m grid, starting in the
+lower-left cell and ending in the lower-right one; the 90/180/270 degree
+variants rotate the snapped cells about the grid center before ranking.
 """
 
 from dataclasses import dataclass
@@ -105,28 +105,25 @@ class HilbertOrdering:
     ids: tuple  # location ids in traversal order
 
 
-def default_order(domain, cell_km=1.0):
-    """Smallest order whose grid spans the bounding box at cell_km resolution."""
-    if not cell_km > 0:
-        raise ValueError("cell_km must be > 0")
+def default_order(domain):
+    """Smallest order whose grid of 1 km cells spans the bounding box."""
     spans = domain.positions.max(axis=0) - domain.positions.min(axis=0)
-    cells = float(spans.max()) / cell_km
-    if not cells <= 1 << MAX_ORDER:
-        raise ValueError(f"a span of {cells:.6g} cells needs a grid order above "
-                         f"{MAX_ORDER}; use a larger cell_km")
+    span = float(spans.max())
+    if not span <= 1 << MAX_ORDER:
+        raise ValueError(f"a span of {span:.6g} km needs a grid order above {MAX_ORDER}")
     m = 0
-    while (1 << m) < cells:
+    while (1 << m) < span:
         m += 1
     return m
 
 
-def order_domain(domain, order=None, rotation=0, cell_km=1.0):
+def order_domain(domain, order=None, rotation=0):
     """Order all domain locations along one rotated Hilbert walk.
 
-    Cells are square with side cell_km, anchored at the bounding-box
-    minimum; locations beyond the grid edge clamp into the last cell and
-    cell ties break by location id, so the result is always a
-    permutation of 0..n-1.
+    Cells are 1 km squares anchored at the bounding-box minimum;
+    locations beyond the grid edge clamp into the last cell and cell
+    ties break by location id, so the result is always a permutation of
+    0..n-1.
     """
     if rotation not in ROTATIONS:
         raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation}")
@@ -139,18 +136,14 @@ def order_domain(domain, order=None, rotation=0, cell_km=1.0):
     if not float(spans.max()) > 0:
         raise ValueError("degenerate bounding box: all locations coincide")
     if order is None:
-        order = default_order(domain, cell_km)
+        order = default_order(domain)
     side = _side(order)
     # clamped before the cast, so far-off cells cannot overflow int64
-    cells = np.minimum((domain.positions - mins) / cell_km, side - 1).astype(np.int64)
+    cells = np.minimum(domain.positions - mins, side - 1).astype(np.int64)
     ranks = hilbert_rank(*rotate_cell(cells.T, side, rotation), order)
     return HilbertOrdering(rotation, order, tuple(np.argsort(ranks, kind="stable").tolist()))
 
 
-def all_rotations(domain, order=None, cell_km=1.0):
+def all_rotations(domain, order=None):
     """The four rotated orderings, all at the same grid order."""
-    if order is None and domain.n > 1:
-        spans = domain.positions.max(axis=0) - domain.positions.min(axis=0)
-        if float(spans.max()) > 0:
-            order = default_order(domain, cell_km)
-    return tuple(order_domain(domain, order, rot, cell_km) for rot in ROTATIONS)
+    return tuple(order_domain(domain, order, rot) for rot in ROTATIONS)

@@ -6,6 +6,7 @@ eps_region / (2 * diam), so any two members of the same set produce
 nearly indistinguishable report distributions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ __all__ = [
 
 # Generator.choice's tolerance on the total of a float64 probability row
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+# Lowest exponent of a row entry. Every normalized entry stays at or above
+# e**-690 / n, a normal float for n below about 1e8, so no entry underflows
+# to zero or a subnormal. The cap never moves two exponents farther apart,
+# so the in-set log-ratio bound still holds.
+_EXP_FLOOR = -690.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,9 @@ def _exp_rows(domain, groups):
     """Release matrix from (row ids, diameter, eps) groups.
 
     Each row of a group decays with distance at rate eps / (2 * diameter);
-    row_pls records the index of the group that shaped the row. The rows
-    are built in one in-place pass, so the matrix is the only n x n array.
+    row_pls records the index of the group that shaped the row. Exponents
+    below _EXP_FLOOR are raised to it. The rows are built in one in-place
+    pass, so the matrix is the only n x n array.
     """
     n = domain.n
     row_pls = np.empty(n, dtype=int)
@@ -81,6 +88,7 @@ def _exp_rows(domain, groups):
         row_eps[ids] = eps
         scale[ids] = eps / (2.0 * diam)
     rows = np.multiply(domain.distances, -scale[:, None])
+    np.maximum(rows, _EXP_FLOOR, out=rows)
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1)[:, None]
     return ObfuscationMatrix(rows, row_pls, row_sens, row_eps)
@@ -101,10 +109,10 @@ def build_matrix(domain, partition):
 
 def build_matrix_constant(domain, d_const, eps):
     """Uniform-sensitivity baseline: every row uses the same diameter."""
-    if not d_const > 0:
-        raise ValueError("d_const must be > 0")
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    if not 0 < d_const < math.inf:
+        raise ValueError("d_const must be finite and > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and > 0")
     return _exp_rows(domain, [(slice(None), d_const, eps)])
 
 

@@ -49,8 +49,10 @@ class Pls:
         members = tuple(sorted(int(m) for m in members))
         if len(members) < 2:
             raise ValueError("a protection set needs at least 2 members")
-        if not eps_region > 0:
-            raise ValueError("eps_region must be > 0")
+        if len(set(members)) < len(members):
+            raise ValueError("a protection set lists a location twice")
+        if not 0 < eps_region < math.inf:
+            raise ValueError("eps_region must be finite and > 0")
         return Pls(
             members,
             diameter(domain, members),
@@ -80,14 +82,6 @@ class Partition:
     def k(self):
         return len(self.plss)
 
-    def pls_of(self):
-        """Map location id -> index of its protection set."""
-        owner = {}
-        for j, pls in enumerate(self.plss):
-            for m in pls.members:
-                owner[m] = j
-        return owner
-
     def validate(self, domain):
         """Raise ValueError on any structural or bound violation.
 
@@ -97,6 +91,8 @@ class Partition:
         for pls in self.plss:
             if len(pls.members) < 2:
                 raise ValueError("protection set smaller than 2 members")
+            if len(set(pls.members)) < len(pls.members):
+                raise ValueError(f"protection set {pls.members} lists a location twice")
             overlap = seen.intersection(pls.members)
             if overlap:
                 raise ValueError(f"location {min(overlap)} appears in two sets")
@@ -151,14 +147,17 @@ def require_feasible(domain, eps, em):
 
 
 class _Side:
-    """A growing run of curve-consecutive locations with running geometry."""
+    """A growing run of curve-consecutive locations with running geometry,
+    started from the ids in first (in curve order)."""
 
-    def __init__(self, domain):
+    def __init__(self, domain, first):
         self.domain = domain
         self.members = []  # in curve order
         self.diam = 0.0
         self.sums = np.zeros(domain.n)  # prior-weighted distance from each location
         self.mass = 0.0
+        for loc in first:
+            self.add_right(loc)
 
     def _grow(self, loc):
         row = self.domain.distances[loc]
@@ -205,12 +204,8 @@ def partition_on_ordering(domain, ordering, params):
     right_closed = []  # id-lists in curve order; right_closed[0] closed last
     close_seq = []     # 'L'/'R' close events, oldest first
 
-    phi_l = _Side(domain)
-    phi_l.add_right(ranked[0])
-    phi_l.add_right(ranked[1])
-    phi_r = _Side(domain)
-    phi_r.add_right(ranked[n - 2])
-    phi_r.add_right(ranked[n - 1])
+    phi_l = _Side(domain, ranked[:2])
+    phi_r = _Side(domain, ranked[n - 2:])
     lo, hi = 2, n - 3
 
     while True:
@@ -226,16 +221,12 @@ def partition_on_ordering(domain, ordering, params):
         if phi_l.diam >= phi_r.diam:  # tie closes the left side
             left_closed.append(phi_l.members)
             close_seq.append("L")
-            phi_l = _Side(domain)
-            phi_l.add_right(ranked[lo])
-            phi_l.add_right(ranked[lo + 1])
+            phi_l = _Side(domain, ranked[lo:lo + 2])
             lo += 2
         else:
             right_closed.insert(0, phi_r.members)
             close_seq.append("R")
-            phi_r = _Side(domain)
-            phi_r.add_right(ranked[hi - 1])
-            phi_r.add_right(ranked[hi])
+            phi_r = _Side(domain, ranked[hi - 1:hi + 1])
             hi -= 2
 
     if hi == lo:
@@ -250,11 +241,7 @@ def partition_on_ordering(domain, ordering, params):
         sets = left_closed + [phi_l.members, phi_r.members] + right_closed
     else:
         remainder = phi_l.members + phi_r.members
-        sets = None
-        while sets is None:
-            if satisfies_error_bound(domain, remainder, eps, em):
-                sets = left_closed + [remainder] + right_closed
-                break
+        while not satisfies_error_bound(domain, remainder, eps, em):
             cut = _best_remainder_split(domain, remainder, left_closed, right_closed, eps, em)
             if cut is not None:
                 if remainder[:cut]:
@@ -270,6 +257,8 @@ def partition_on_ordering(domain, ordering, params):
                 remainder = left_closed.pop() + remainder
             else:
                 remainder = remainder + right_closed.pop(0)
+        else:  # the remainder passes on its own
+            sets = left_closed + [remainder] + right_closed
 
     plss = tuple(Pls.build(domain, s, eps) for s in sets)
     return Partition(
@@ -309,7 +298,7 @@ def _best_remainder_split(domain, remainder, left_closed, right_closed, eps, em)
     return best_cut
 
 
-def best_hilbert_partition(domain, params, order=None, cell_km=1.0):
+def best_hilbert_partition(domain, params, order=None):
     """Best of the four rotated curve walks by weighted average diameter.
 
     Ties keep the earliest rotation (0, 90, 180, 270 order). Only the kept
@@ -317,7 +306,7 @@ def best_hilbert_partition(domain, params, order=None, cell_km=1.0):
     infeasible parameters raise from the first rotation.
     """
     walks = (partition_on_ordering(domain, ordering, params)
-             for ordering in all_rotations(domain, order, cell_km))
+             for ordering in all_rotations(domain, order))
     best = min(walks, key=lambda part: weighted_avg_diameter(domain, part.plss))
     best.validate(domain)
     return best
@@ -345,31 +334,34 @@ def load_partition(domain, source):
     if header is None or [h.strip().lower() for h in header] != _PART_HEADER:
         raise ValueError("partition header must be pls_id,location_id,eps_region,diam_km")
     members = {}
-    eps_of = {}
-    diam_of = {}
+    stored = {}  # pls_id -> (eps_region, diam_km)
+    listed = {}  # location id -> line that lists it
     for lineno, row in lines:
         if len(row) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields")
         try:
             pls_id = int(row[0])
             loc_id = int(row[1])
-            eps_region = float(row[2])
-            diam = float(row[3])
+            pair = (float(row[2]), float(row[3]))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
+        if not all(map(math.isfinite, pair)):
+            raise ValueError(f"line {lineno}: eps_region and diam_km must be finite")
+        first = listed.setdefault(loc_id, lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: location {loc_id} is already listed on line {first}")
         members.setdefault(pls_id, []).append(loc_id)
-        if pls_id in eps_of and (eps_of[pls_id] != eps_region or diam_of[pls_id] != diam):
+        if stored.setdefault(pls_id, pair) != pair:
             raise ValueError(f"line {lineno}: inconsistent eps_region or diam_km for set {pls_id}")
-        eps_of[pls_id] = eps_region
-        diam_of[pls_id] = diam
     if sorted(members) != list(range(len(members))):
         raise ValueError("pls_id values must be exactly 0..k-1")
     plss = []
     for pls_id in sorted(members):
-        pls = Pls.build(domain, members[pls_id], eps_of[pls_id])
-        if not np.isclose(pls.diam, diam_of[pls_id], rtol=1e-6, atol=1e-9):
+        eps_region, diam = stored[pls_id]
+        pls = Pls.build(domain, members[pls_id], eps_region)
+        if not np.isclose(pls.diam, diam, rtol=1e-6, atol=1e-9):
             raise ValueError(
-                f"set {pls_id}: stored diameter {diam_of[pls_id]} does not match "
+                f"set {pls_id}: stored diameter {diam} does not match "
                 f"the dataset ({_csvio.num(pls.diam)})"
             )
         plss.append(pls)

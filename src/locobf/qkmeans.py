@@ -19,21 +19,21 @@ from .partition import Partition, Pls, require_feasible, _sets_wad
 
 __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partition"]
 
+# centers that all move less than this (km) have converged
+_CENTER_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class QkConfig:
-    """Search knobs: restarts per k, center iterations, convergence, seed."""
+    """Search knobs: restarts per k, center iterations, seed."""
 
     max_samp: int = 10
     max_iter: int = 100
-    center_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.max_samp < 1 or self.max_iter < 1:
             raise ValueError("max_samp and max_iter must be >= 1")
-        if not self.center_tol > 0:
-            raise ValueError("center_tol must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -80,6 +80,15 @@ def seed_centers(domain, k, rng):
     return domain.positions[chosen].copy()
 
 
+def _weighting(domain, personalized, weighted):
+    """Whether the budget weight applies; it defaults to personalized."""
+    if personalized and domain.personal_eps is None:
+        raise ValueError("personalized search needs per-location budgets")
+    if weighted and not personalized:
+        raise ValueError("the budget weight needs personalized=True")
+    return personalized if weighted is None else weighted
+
+
 def assign_round(domain, centers, params, personalized=False, weighted=None):
     """One greedy fill of clusters around fixed planar centers.
 
@@ -95,10 +104,7 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     out and makes the round infeasible; so does a cluster still open
     when every location is placed.
     """
-    if weighted is None:
-        weighted = personalized
-    if personalized and domain.personal_eps is None:
-        raise ValueError("personalized assignment needs per-location budgets")
+    weighted = _weighting(domain, personalized, weighted)
     centers = np.asarray(centers, dtype=float)
     k = len(centers)
     n = domain.n
@@ -195,7 +201,7 @@ def _search_k(domain, params, config, k, personalized, weighted):
                 moved = float(np.linalg.norm(new_centers - centers, axis=1).max())
                 moves[key] = (new_centers, moved)
             centers, moved = moves[key]
-            if moved < config.center_tol:
+            if moved < _CENTER_TOL:
                 break
     return best, best_w
 
@@ -211,10 +217,7 @@ def qk_partition(domain, params, config=None, personalized=False, weighted=None)
     """
     if config is None:
         config = QkConfig()
-    if weighted is None:
-        weighted = personalized
-    if personalized and domain.personal_eps is None:
-        raise ValueError("personalized partitioning needs per-location budgets")
+    weighted = _weighting(domain, personalized, weighted)
     if domain.n < 2:
         raise ValueError("partitioning needs at least 2 locations")
     whole_eps = float(domain.personal_eps.min()) if personalized else params.eps

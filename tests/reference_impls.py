@@ -379,12 +379,15 @@ def reference_order_ids(domain, order=None, rotation=0, cell_km=1.0):
 
 
 def reference_exp_rows(domain, groups):
-    """Rows from (row ids, diameter, eps) groups, one group at a time."""
+    """Rows from (row ids, diameter, eps) groups, one group at a time.
+
+    Exponents are capped below at -690, as in the package.
+    """
     n = domain.n
     rows = np.empty((n, n), dtype=float)
     for ids, diam, eps in groups:
         scale = eps / (2.0 * diam)
-        weights = -scale * domain.distances[ids, :]
+        weights = np.maximum(-scale * domain.distances[ids, :], -690.0)
         np.exp(weights, out=weights)
         totals = weights.sum(axis=1)
         weights /= totals[:, None]

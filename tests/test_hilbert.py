@@ -82,9 +82,6 @@ def test_default_order():
     assert default_order(_span_domain(10.0)) == 4
     assert default_order(_span_domain(16.0)) == 4
     assert default_order(_span_domain(17.0)) == 5
-    assert default_order(_span_domain(3.0), cell_km=2.0) == 1
-    with pytest.raises(ValueError):
-        default_order(_span_domain(10.0), cell_km=0.0)
 
 
 def test_order_domain_single_point():
@@ -119,11 +116,11 @@ def test_orders_above_max_are_rejected(build):
     with pytest.raises(ValueError, match="order"):
         build(LocationDomain([(0.0, 0.0)], [1.0]), order=MAX_ORDER + 1)
     # a default order above the bound is refused before any ranking
-    with pytest.raises(ValueError, match="larger cell_km"):
-        build(dom, cell_km=1e-9)
+    with pytest.raises(ValueError, match="grid order above 31"):
+        build(_span_domain(2.2e9))
     # about the widest span a domain holds: wider ones overflow its distances
     huge = LocationDomain([(-8e307, 0.0), (8e307, 0.0)], [0.5, 0.5])
-    with pytest.raises(ValueError, match="larger cell_km"):
+    with pytest.raises(ValueError, match="grid order above 31"):
         build(huge)
 
 

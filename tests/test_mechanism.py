@@ -120,6 +120,15 @@ def test_constant_argument_validation(line3):
         build_matrix_constant(line3, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("d_const, eps, name", [
+    (math.inf, 1.0, "d_const"), (math.nan, 1.0, "d_const"),
+    (2.0, math.inf, "eps"), (2.0, math.nan, "eps"),
+])
+def test_constant_rejects_non_finite_arguments(line3, d_const, eps, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        build_matrix_constant(line3, d_const, eps)
+
+
 def test_constant_matches_single_set_partition(line3):
     part = Partition(
         (Pls.build(line3, (0, 1, 2), 0.7),), PrivacyParams(0.7, 0.0), "handmade"

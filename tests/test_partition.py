@@ -266,15 +266,32 @@ def test_load_partition_format_errors():
         load_partition(dom, io.StringIO(header + "0,0,1,2\n0,1,2,2\n1,2,1,4\n1,3,1,4\n"))
 
 
-def test_pls_of():
+def test_repeated_members_and_non_finite_budgets_are_rejected():
     dom = pair_domain(2.0, 10.0, 4.0)
-    part = Partition(
-        (Pls.build(dom, [0, 1], 1.0), Pls.build(dom, [2, 3], 1.0)),
-        PrivacyParams(1.0, 0.0),
-        "test",
+    with pytest.raises(ValueError, match="twice"):
+        Pls.build(dom, [2, 2], 1.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Pls.build(dom, [0, 1], eps)
+    # built directly, so only validate can catch the repeat
+    repeated = Partition(
+        (Pls((0, 0, 1), 2.0, 0.5, 1.0), Pls.build(dom, [2, 3], 1.0)), None, "test"
     )
-    assert part.pls_of() == {0: 0, 1: 0, 2: 1, 3: 1}
-    assert part.k == 2
+    with pytest.raises(ValueError, match="twice"):
+        repeated.validate(dom)
+
+
+@pytest.mark.parametrize("body, fragment", [
+    ("0,0,1,2\n0,0,1,2\n0,1,1,2\n1,2,1,4\n1,3,1,4\n", "line 3: location 0 is already listed on line 2"),
+    ("0,0,1,2\n0,1,1,2\n1,1,1,4\n1,2,1,4\n1,3,1,4\n", "line 4: location 1 is already listed on line 3"),
+    ("0,0,inf,2\n0,1,inf,2\n1,2,1,4\n1,3,1,4\n", "line 2: eps_region and diam_km must be finite"),
+    ("0,0,1,2\n0,1,1,2\n1,2,nan,4\n1,3,nan,4\n", "line 4: eps_region and diam_km must be finite"),
+    ("0,0,1,nan\n0,1,1,nan\n1,2,1,4\n1,3,1,4\n", "line 2: eps_region and diam_km must be finite"),
+], ids=["repeat-in-set", "repeat-across-sets", "inf-eps", "nan-eps", "nan-diam"])
+def test_load_partition_names_the_bad_line(body, fragment):
+    dom = pair_domain(2.0, 10.0, 4.0)
+    with pytest.raises(ValueError, match=fragment):
+        load_partition(dom, io.StringIO("pls_id,location_id,eps_region,diam_km\n" + body))
 
 
 def test_zero_prior_locations_partition():

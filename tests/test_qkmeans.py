@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QkConfig(max_iter=0)
     with pytest.raises(ValueError):
-        QkConfig(center_tol=0.0)
-    with pytest.raises(ValueError):
         QkConfig(seed=-1)
 
 
@@ -156,6 +154,14 @@ def test_qk_partition_validates_inputs(line6):
     tiny = LocationDomain([(0.0, 0.0)], [1.0])
     with pytest.raises(ValueError):
         qk_partition(tiny, PrivacyParams(1.0, 0.0))
+
+
+def test_budget_weight_needs_personalized(line6):
+    params = PrivacyParams(0.1, 0.4)
+    with pytest.raises(ValueError, match="personalized=True"):
+        qk_partition(line6, params, personalized=False, weighted=True)
+    with pytest.raises(ValueError, match="personalized=True"):
+        assign_round(line6, np.array([[0.0, 0.0]]), params, weighted=True)
 
 
 def test_qk_personalized_budgets():

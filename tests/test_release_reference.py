@@ -27,6 +27,7 @@ from reference_impls import reference_compute_metrics, reference_distances, refe
 
 
 def _assert_release_matches(dom, eps, em):
+    """Check both builders and their metrics; returns the partition used."""
     assert np.array_equal(dom.distances, reference_distances(dom.positions))
     if dom.n >= 4:
         part = best_hilbert_partition(dom, PrivacyParams(eps, em))
@@ -48,6 +49,7 @@ def _assert_release_matches(dom, eps, em):
         for got, want in ((report.cond_err, cond), (report.avg_err, avg),
                           (report.success, success)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+    return part
 
 
 @pytest.mark.parametrize("n", [2, 50, 255, 256, 257, 777])
@@ -62,9 +64,16 @@ def test_off_grid_domain_matches_reference():
     _assert_release_matches(dom, 1.0, 0.5)
 
 
-def test_wide_underflowing_domain_matches_reference():
-    # release-large's wide instance: far entries of its matrix underflow to 0.0
-    _assert_release_matches(synth_domain(1500, seed=1, grid_side=1024), 2.0, 0.05)
+def test_wide_domain_matches_reference_without_underflow():
+    # release-large's wide instance: without the exponent cap, far entries
+    # of its matrix underflow to 0.0 or a subnormal
+    dom = synth_domain(1500, seed=1, grid_side=1024)
+    part = _assert_release_matches(dom, 2.0, 0.05)
+    rows = build_matrix(dom, part).rows
+    assert rows.min() >= np.finfo(float).tiny
+    for pls in part.plss:
+        logs = np.log(rows[list(pls.members)])
+        assert (logs.max(axis=0) - logs.min(axis=0)).max() <= pls.eps_region
 
 
 def _traced_peak(fn, *args):

@@ -89,15 +89,25 @@ def run_layers():
     return layers
 
 
-def _run_tree(root):
-    """run_layers in a fresh interpreter importing locobf from the tree's src/."""
+def run_in_tree(root, module, function):
+    """module.function() from this directory, as JSON, in a fresh one-thread
+    interpreter importing locobf from the tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({var: "1" for var in BLAS_VARS})
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_layers; "
-            "print(json.dumps(bench_layers.run_layers()))")
-    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+    code = ("import importlib, json, sys; sys.path.insert(0, sys.argv[1]); "
+            "print(json.dumps(getattr(importlib.import_module(sys.argv[2]), sys.argv[3])()))")
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+                           module, function],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def parse_trees(ap, specs):
+    """(label, resolved root) per --tree LABEL=DIR; default current=<this checkout>."""
+    trees = [spec.split("=", 1) for spec in specs] or [["current", str(ROOT)]]
+    if any(len(t) != 2 for t in trees):
+        ap.error("--tree takes LABEL=DIR")
+    return [(label, Path(directory).resolve()) for label, directory in trees]
 
 
 def _commit(root):
@@ -117,9 +127,7 @@ def main(argv=None):
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR",
                     help="a checkout to measure (repeatable); default current=<this checkout>")
     args = ap.parse_args(argv)
-    trees = [spec.split("=", 1) for spec in args.tree] or [["current", str(ROOT)]]
-    if any(len(t) != 2 for t in trees):
-        ap.error("--tree takes LABEL=DIR")
+    trees = parse_trees(ap, args.tree)
     import numpy as np
 
     report = {
@@ -132,9 +140,9 @@ def main(argv=None):
                     "numpy": np.__version__, "platform": platform.platform()},
         "trees": {},
     }
-    for label, directory in trees:
-        root = Path(directory).resolve()
-        report["trees"][label] = {"commit": _commit(root), "layers": _run_tree(root)}
+    for label, root in trees:
+        report["trees"][label] = {"commit": _commit(root),
+                                  "layers": run_in_tree(root, "bench_layers", "run_layers")}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
 
