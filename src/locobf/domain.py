@@ -251,13 +251,31 @@ def _admits(domain, members, low_sum, mass, eps_region, em):
     candidate estimates and mass their prior mass, each summed in any
     order. Outside a certified margin around the threshold they decide;
     inside it the exact test does, so the answer is always the exact one.
+
+    In the array form low_sum, mass and eps_region are equal-length
+    arrays, one entry per candidate set, members(t) lists entry t's
+    members, and the answer is a bool array. Each entry is a sure yes, a
+    sure no or undecided by the same margin; only the undecided entries
+    call members and go to the exact test.
     """
+    rtol = 8.0 * (domain.n + 2) * 2.0 ** -53
+    if isinstance(low_sum, np.ndarray):
+        # the thresholds use math.exp, as the exact test does
+        threshold = np.array([math.exp(e) for e in eps_region.tolist()]) * em
+        weighed = mass > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor = low_sum / mass
+        certified = weighed & (_SUM_LOW <= low_sum) & (floor <= _FLOOR_HIGH)
+        yes = certified & (floor >= threshold * (1.0 + rtol))
+        no = certified & (floor < threshold * (1.0 - rtol))
+        for t in np.flatnonzero(weighed & ~yes & ~no).tolist():
+            yes[t] = satisfies_error_bound(domain, members(t), float(eps_region[t]), em)
+        return yes
     if not mass > 0:
         return False
     threshold = math.exp(eps_region) * em
     floor = low_sum / mass
     if _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH:
-        rtol = 8.0 * (domain.n + 2) * 2.0 ** -53
         if floor >= threshold * (1.0 + rtol):
             return True
         if floor < threshold * (1.0 - rtol):

@@ -9,12 +9,14 @@ a budget-mismatch weight and each cluster's effective budget is the
 minimum over its members.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import _admits
+from .mechanism import _draw
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
 __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partition"]
@@ -71,7 +73,7 @@ def seed_centers(domain, k, rng):
         weights = nearest[remaining]
         total = weights.sum()
         if total > 0:
-            pick = int(rng.choice(remaining, p=weights / total))
+            pick = int(remaining[_draw(weights / total, rng)])
         else:
             pick = int(rng.choice(remaining))
         chosen.append(pick)
@@ -103,69 +105,188 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     clusters nearest-first. A leftover that breaks every cluster stays
     out and makes the round infeasible; so does a cluster still open
     when every location is placed.
+
+    centers of shape (k, 2) make one fill; a stack of shape (R, k, 2)
+    makes R independent fills and returns a list of R such pairs, each
+    equal to its own single call.
     """
     weighted = _weighting(domain, personalized, weighted)
     centers = np.asarray(centers, dtype=float)
-    k = len(centers)
+    stack = centers.reshape(-1, *centers.shape[-2:])
+    fills, k = stack.shape[:2]
     n = domain.n
-    em, lam = params.em, params.lam
-    dist = domain.distances
+    # base[r, i, j]: distance from location i to center j of fill r, the
+    # floats np.linalg.norm gives for each (dx, dy)
+    base = domain.positions[:, 0, None] - stack[:, None, :, 0]
+    base *= base
+    dy = domain.positions[:, 1, None] - stack[:, None, :, 1]
+    dy *= dy
+    base += dy
+    np.sqrt(base, out=base)
+    # row i is what location i adds to a cluster's prior-weighted distance sums
+    table = domain.priors[:, None] * domain.distances
+    sums = np.zeros((fills, k, n))  # sums[r, j, c]: prior-weighted distance from c to cluster j
+    assigned = np.zeros((fills, n), dtype=bool)
     prior_of = domain.priors.tolist()
     eps_of = domain.personal_eps.tolist() if personalized else None
+    # row i weighs the joining distances to a cluster whose budget is location i's
+    mismatch = None
+    if weighted:
+        mismatch = eps_weight(domain.personal_eps[:, None], domain.personal_eps, params.lam)
+    members, mass, cluster_eps, closed = zip(*(
+        _join_nearest(domain, b, table, s, a, params, prior_of, eps_of, mismatch)
+        for b, s, a in zip(base, sums, assigned)
+    ))
+    budgets = domain.personal_eps if personalized else np.full(n, params.eps)
+    placed = _place_leftovers(domain, base, table, members, sums, np.array(mass),
+                              np.array(cluster_eps), assigned, budgets, params.em)
+    results = [(family, bool(c and p)) for family, c, p in zip(members, closed, placed)]
+    return results[0] if centers.ndim == 2 else results
 
-    base = np.linalg.norm(domain.positions[:, None, :] - centers[None, :, :], axis=2)
+
+def _join_nearest(domain, base, table, sums, assigned, params, prior_of, eps_of, mismatch):
+    """The first phase of one fill, filling sums and assigned in place;
+    mismatch holds the budget weights when they apply, else None.
+
+    Returns (families, masses, budgets, whether every cluster closed).
+    """
+    n, k = base.shape
+    em = params.em
+    personalized = eps_of is not None
     live = base.copy()  # joining cost, inf on placed rows and closed columns
     members = [[] for _ in range(k)]
     cluster_eps = [math.inf if personalized else params.eps] * k
-    sums = np.zeros((k, n))  # sums[j, c]: prior-weighted distance from c to cluster j
     mass = [0.0] * k
-    assigned = np.zeros(n, dtype=bool)
     placed = closed = 0
-
-    def join(i, j, new_sums):
-        """Add i to cluster j, whose sums become new_sums; True when its budget drops."""
-        members[j].append(i)
-        assigned[i] = True
-        sums[j] = new_sums
-        mass[j] += prior_of[i]
-        if personalized and eps_of[i] < cluster_eps[j]:
-            cluster_eps[j] = eps_of[i]
-            return True
-        return False
-
     while placed < n and closed < k:
         i, j = divmod(int(live.argmin()), k)
         live[i] = np.inf
         placed += 1
-        if join(i, j, sums[j] + prior_of[i] * dist[i]) and weighted:
-            live[:, j] = base[:, j] * eps_weight(domain.personal_eps, cluster_eps[j], lam)
-            live[assigned, j] = np.inf
+        members[j].append(i)
+        assigned[i] = True
+        sums[j] += table[i]
+        mass[j] += prior_of[i]
+        if personalized and eps_of[i] < cluster_eps[j]:
+            cluster_eps[j] = eps_of[i]
+            if mismatch is not None:
+                live[:, j] = base[:, j] * mismatch[i]
+                live[assigned, j] = np.inf
         if len(members[j]) >= 2 and _admits(
             domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em
         ):
             live[:, j] = np.inf
             closed += 1
+    return members, mass, cluster_eps, closed == k
 
-    feasible = closed == k
-    # leftovers remain only once every cluster is closed; they go by plain
-    # distance, the budget weight only steers the first phase
-    leftovers = np.flatnonzero(~assigned)
-    leftovers = leftovers[np.argsort(base[leftovers].min(axis=1), kind="stable")]
-    nearest_first = np.argsort(base[leftovers], axis=1, kind="stable").tolist()
-    for i, order in zip(leftovers.tolist(), nearest_first):
-        p = prior_of[i]
-        row = p * dist[i]
-        # trial sums are formed per cluster tried: a leftover nearly always
-        # joins the first cluster it tries
-        for j in order:
-            trial = sums[j] + row
-            trial_eps = min(cluster_eps[j], eps_of[i]) if personalized else cluster_eps[j]
-            if _admits(domain, members[j] + [i], float(trial.min()), mass[j] + p, trial_eps, em):
-                join(i, j, trial)
-                break
-        else:
-            feasible = False
-    return members, feasible
+
+def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assigned, budgets, em):
+    """The second phase of every fill at once; per fill, whether every leftover found a cluster.
+
+    Leftovers remain only once every cluster of their fill is closed;
+    they go by plain distance, the budget weight only steers the first
+    phase. Nearly every leftover joins the first cluster it tries, so
+    each pass assumes that all of them do: per (fill, cluster) group the
+    running sums, masses and budgets of those joins are prefix sums along
+    the leading axis of a (depth + 1, groups, n) stack, summed in join
+    order as one join at a time sums them. Every fill keeps its leading
+    run of admitted joins; its first refused leftover tries its other
+    clusters nearest-first, and the next pass starts after it. The
+    members, the (fills, k, n) sums and the (fills, k) masses and budgets
+    are updated in place; assigned marks the first phase's placements.
+    """
+    fills, n, k = base.shape
+    sums = sums.reshape(fills * k, n)
+    mass, cluster_eps = mass.reshape(-1), cluster_eps.reshape(-1)
+    complete = np.ones(fills, dtype=bool)
+    # every fill's leftovers in order, nearest to any center first
+    rr, ii = np.nonzero(~assigned)
+    order = np.lexsort((base[rr, ii].min(axis=1), rr))
+    rr, ii = rr[order], ii[order]
+    nearest = base[rr, ii].argmin(axis=1)
+    while len(rr):
+        group = rr * k + nearest
+        by_group = np.argsort(group, kind="stable")
+        heads = np.flatnonzero(np.diff(group[by_group], prepend=-1))
+        sizes = np.diff(heads, append=len(group))
+        groups = group[by_group[heads]]
+        col = np.empty_like(group)
+        col[by_group] = np.repeat(np.arange(len(groups)), sizes)
+        depth = np.empty_like(group)  # 1 for a group's first leftover, 2 for its second, ...
+        depth[by_group] = np.arange(len(group)) - np.repeat(heads, sizes) + 1
+        run_sums = np.zeros((sizes.max() + 1, len(groups), n))
+        run_sums[0] = sums[groups]
+        run_sums[depth, col] = table[ii]
+        np.cumsum(run_sums, axis=0, out=run_sums)
+        run_mass = np.zeros((len(run_sums), len(groups)))
+        run_mass[0] = mass[groups]
+        run_mass[depth, col] = domain.priors[ii]
+        np.cumsum(run_mass, axis=0, out=run_mass)
+        run_eps = np.full_like(run_mass, math.inf)
+        run_eps[0] = cluster_eps[groups]
+        run_eps[depth, col] = budgets[ii]
+        np.minimum.accumulate(run_eps, axis=0, out=run_eps)
+
+        def trial_members(t):
+            c = col[t]
+            joined = ii[by_group[heads[c]:heads[c] + depth[t]]]
+            return members[rr[t]][nearest[t]] + joined.tolist()
+
+        admitted = _admits(domain, trial_members, run_sums.min(axis=2)[depth, col],
+                           run_mass[depth, col], run_eps[depth, col], em)
+        # each fill's entries are contiguous; cut is its first refused one, or its end
+        starts = np.flatnonzero(np.diff(rr, prepend=-1))
+        ends = np.append(starts[1:], len(rr))
+        refused = np.append(np.flatnonzero(~admitted), len(rr))
+        cut = np.minimum(refused[np.searchsorted(refused, starts)], ends)
+        at = np.arange(len(rr))
+        taken = at < np.repeat(cut, ends - starts)
+        for r, j, i in zip(rr[taken].tolist(), nearest[taken].tolist(), ii[taken].tolist()):
+            members[r][j].append(i)
+        # a group's taken joins lead its entries, so its state is the prefix sum after them
+        last = np.bincount(col[taken], minlength=len(groups)), np.arange(len(groups))
+        sums[groups] = run_sums[last]
+        mass[groups] = run_mass[last]
+        cluster_eps[groups] = run_eps[last]
+        for r, i in zip(rr[cut[cut < ends]].tolist(), ii[cut[cut < ends]].tolist()):
+            for j in np.argsort(base[r, i], kind="stable").tolist()[1:]:
+                g = r * k + j
+                trial = sums[g] + table[i]
+                trial_mass = float(mass[g]) + float(domain.priors[i])
+                trial_eps = min(float(cluster_eps[g]), float(budgets[i]))
+                if _admits(domain, members[r][j] + [i], float(trial.min()), trial_mass,
+                           trial_eps, em):
+                    members[r][j].append(i)
+                    sums[g], mass[g], cluster_eps[g] = trial, trial_mass, trial_eps
+                    break
+            else:
+                complete[r] = False
+        keep = at > np.repeat(cut, ends - starts)
+        rr, ii, nearest = rr[keep], ii[keep], nearest[keep]
+    return complete
+
+
+def _next_centers(domain, centers, families):
+    """Every fill's next centers and its largest center move.
+
+    A cluster's next center is its members' mean position, summed in
+    join order from 0.0 by one np.bincount per axis, which gives the
+    same floats as positions[members].mean(axis=0); an empty cluster
+    keeps its center. centers has shape (fills, k, 2).
+    """
+    fills, k = centers.shape[:2]
+    sizes = [len(f) for family in families for f in family]
+    ids = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(families)),
+                      dtype=np.intp, count=sum(sizes))
+    sizes = np.array(sizes)
+    labels = np.repeat(np.arange(fills * k), sizes)
+    placed = domain.positions[ids]
+    totals = np.column_stack([np.bincount(labels, weights=placed[:, a], minlength=fills * k)
+                              for a in (0, 1)])
+    nxt = centers.reshape(fills * k, 2).copy()
+    filled = sizes > 0
+    nxt[filled] = totals[filled] / sizes[filled, None]
+    nxt = nxt.reshape(fills, k, 2)
+    return nxt, np.linalg.norm(nxt - centers, axis=2).max(axis=1)
 
 
 def _search_k(domain, params, config, k, personalized, weighted):
@@ -178,32 +299,53 @@ def _search_k(domain, params, config, k, personalized, weighted):
     instead of filling again. A replay cannot change the best family:
     its weighted mean diameter was already compared once. Most clusters
     recur from round to round, so their masses and diameters are kept.
+
+    All restarts move forward together: at each iteration every distinct
+    pending set of centers is filled in one assign_round call. The
+    restarts are then walked one after another through the recorded
+    moves, so the best family, its ties and each restart's stop are
+    those of filling the restarts in turn.
     """
-    best = None
-    best_w = math.inf
-    moves = {}  # centers bytes -> (next centers, largest center move)
+    moves = {}  # centers bytes -> (next centers, largest center move, weighted mean diameter)
     known = {}  # sorted members -> (mass, diameter)
-    for restart in range(config.max_samp):
-        rng = np.random.default_rng([config.seed, k, restart])
-        centers = seed_centers(domain, k, rng)
-        for _ in range(config.max_iter):
+    lowest, lowest_w = {}, math.inf  # centers bytes -> family, for the fills at the lowest w
+    starts = [seed_centers(domain, k, np.random.default_rng([config.seed, k, restart]))
+              for restart in range(config.max_samp)]
+    live = starts
+    for _ in range(config.max_iter):
+        pending = {}
+        for centers in live:
             key = centers.tobytes()
             if key not in moves:
-                family, feasible = assign_round(domain, centers, params, personalized, weighted)
+                pending.setdefault(key, centers)
+        if pending:
+            stack = np.array(list(pending.values()))
+            rounds = assign_round(domain, stack, params, personalized, weighted)
+            families = [family for family, _ in rounds]
+            nxt, moved = _next_centers(domain, stack, families)
+            for key, (family, feasible), c, m in zip(pending, rounds, nxt, moved.tolist()):
+                w = math.inf
                 if feasible:
                     w = _sets_wad(domain, family, known)
-                    if w < best_w:
-                        best, best_w = family, w
-                new_centers = np.array([
-                    domain.positions[f].mean(axis=0) if f else centers[j]
-                    for j, f in enumerate(family)
-                ])
-                moved = float(np.linalg.norm(new_centers - centers, axis=1).max())
-                moves[key] = (new_centers, moved)
-            centers, moved = moves[key]
+                    if w < lowest_w:
+                        lowest, lowest_w = {}, w
+                    if w == lowest_w:
+                        lowest[key] = family
+                moves[key] = (c, m, w)
+        live = [moves[c.tobytes()][0] for c in live if moves[c.tobytes()][1] >= _CENTER_TOL]
+        if not live:
+            break
+
+    best_key, best_w = None, math.inf
+    for centers in starts:
+        for _ in range(config.max_iter):
+            key = centers.tobytes()
+            centers, moved, w = moves[key]
+            if w < best_w:
+                best_key, best_w = key, w
             if moved < _CENTER_TOL:
                 break
-    return best, best_w
+    return lowest.get(best_key), best_w
 
 
 def qk_partition(domain, params, config=None, personalized=False, weighted=None):

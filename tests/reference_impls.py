@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locobf.domain import satisfies_error_bound
+from locobf.domain import _admits, satisfies_error_bound
+from locobf.partition import _sets_wad
+from locobf.qkmeans import eps_weight
 
 
 def brute_distance(a, b):
@@ -410,3 +412,144 @@ def reference_compute_metrics(domain, rows):
     hit = mode[None, :] == np.arange(len(rows))[:, None]
     success = (rows * hit).sum(axis=1)
     return exp_err, qloss, cond, avg, success
+
+
+# The qk fill and per-k search as they stood before the restarts were
+# filled together: one fill per call, restarts one after another. Copied
+# unchanged except for their names, the seeding reference, and the
+# optional `rounds` list, which records (restart, centers bytes,
+# (families, feasible) or None for a replay) for every round. The package's batched
+# search must return the same best family and weighted mean diameter
+# and make the same fills.
+
+_CENTER_TOL = 1e-6
+
+
+def _weighting(domain, personalized, weighted):
+    """Whether the budget weight applies; it defaults to personalized."""
+    if personalized and domain.personal_eps is None:
+        raise ValueError("personalized search needs per-location budgets")
+    if weighted and not personalized:
+        raise ValueError("the budget weight needs personalized=True")
+    return personalized if weighted is None else weighted
+
+
+def serial_assign_round(domain, centers, params, personalized=False, weighted=None):
+    """One greedy fill of clusters around fixed planar centers.
+
+    Returns (families, feasible): a member-id list per cluster in join
+    order, and whether the fill placed every location and closed every
+    cluster, which makes the families a valid partition. Filling runs
+    in two phases: while open clusters remain, the globally nearest
+    (location, open cluster) pair joins, and a cluster closes once it
+    has at least two members and passes the error bound; once all
+    clusters are closed the leftovers, nearest to any center first, join
+    their nearest cluster whose bound survives the addition, trying
+    clusters nearest-first. A leftover that breaks every cluster stays
+    out and makes the round infeasible; so does a cluster still open
+    when every location is placed.
+    """
+    weighted = _weighting(domain, personalized, weighted)
+    centers = np.asarray(centers, dtype=float)
+    k = len(centers)
+    n = domain.n
+    em, lam = params.em, params.lam
+    dist = domain.distances
+    prior_of = domain.priors.tolist()
+    eps_of = domain.personal_eps.tolist() if personalized else None
+
+    base = np.linalg.norm(domain.positions[:, None, :] - centers[None, :, :], axis=2)
+    live = base.copy()  # joining cost, inf on placed rows and closed columns
+    members = [[] for _ in range(k)]
+    cluster_eps = [math.inf if personalized else params.eps] * k
+    sums = np.zeros((k, n))  # sums[j, c]: prior-weighted distance from c to cluster j
+    mass = [0.0] * k
+    assigned = np.zeros(n, dtype=bool)
+    placed = closed = 0
+
+    def join(i, j, new_sums):
+        """Add i to cluster j, whose sums become new_sums; True when its budget drops."""
+        members[j].append(i)
+        assigned[i] = True
+        sums[j] = new_sums
+        mass[j] += prior_of[i]
+        if personalized and eps_of[i] < cluster_eps[j]:
+            cluster_eps[j] = eps_of[i]
+            return True
+        return False
+
+    while placed < n and closed < k:
+        i, j = divmod(int(live.argmin()), k)
+        live[i] = np.inf
+        placed += 1
+        if join(i, j, sums[j] + prior_of[i] * dist[i]) and weighted:
+            live[:, j] = base[:, j] * eps_weight(domain.personal_eps, cluster_eps[j], lam)
+            live[assigned, j] = np.inf
+        if len(members[j]) >= 2 and _admits(
+            domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em
+        ):
+            live[:, j] = np.inf
+            closed += 1
+
+    feasible = closed == k
+    # leftovers remain only once every cluster is closed; they go by plain
+    # distance, the budget weight only steers the first phase
+    leftovers = np.flatnonzero(~assigned)
+    leftovers = leftovers[np.argsort(base[leftovers].min(axis=1), kind="stable")]
+    nearest_first = np.argsort(base[leftovers], axis=1, kind="stable").tolist()
+    for i, order in zip(leftovers.tolist(), nearest_first):
+        p = prior_of[i]
+        row = p * dist[i]
+        # trial sums are formed per cluster tried: a leftover nearly always
+        # joins the first cluster it tries
+        for j in order:
+            trial = sums[j] + row
+            trial_eps = min(cluster_eps[j], eps_of[i]) if personalized else cluster_eps[j]
+            if _admits(domain, members[j] + [i], float(trial.min()), mass[j] + p, trial_eps, em):
+                join(i, j, trial)
+                break
+        else:
+            feasible = False
+    return members, feasible
+
+
+def serial_search_k(domain, params, config, k, personalized, weighted, rounds=None):
+    """Best feasible family over restarts and center iterations, with its
+    weighted mean diameter; (None, inf) when no round is feasible.
+
+    A fill depends only on its centers, so a round whose centers were
+    already filled for this k (a restart meeting an earlier one, or
+    centers cycling without converging) replays the recorded move
+    instead of filling again. A replay cannot change the best family:
+    its weighted mean diameter was already compared once. Most clusters
+    recur from round to round, so their masses and diameters are kept.
+    """
+    best = None
+    best_w = math.inf
+    moves = {}  # centers bytes -> (next centers, largest center move)
+    known = {}  # sorted members -> (mass, diameter)
+    for restart in range(config.max_samp):
+        rng = np.random.default_rng([config.seed, k, restart])
+        centers = reference_seed_centers(domain, k, rng)
+        for _ in range(config.max_iter):
+            key = centers.tobytes()
+            if key not in moves:
+                family, feasible = serial_assign_round(domain, centers, params, personalized, weighted)
+                if rounds is not None:
+                    rounds.append((restart, key, (family, feasible)))
+                if feasible:
+                    w = _sets_wad(domain, family, known)
+                    if w < best_w:
+                        best, best_w = family, w
+                new_centers = np.array([
+                    domain.positions[f].mean(axis=0) if f else centers[j]
+                    for j, f in enumerate(family)
+                ])
+                moved = float(np.linalg.norm(new_centers - centers, axis=1).max())
+                moves[key] = (new_centers, moved)
+            elif rounds is not None:
+                rounds.append((restart, key, None))
+            centers, moved = moves[key]
+            if moved < _CENTER_TOL:
+                break
+    return best, best_w

@@ -124,6 +124,22 @@ def _ems_around(floor, eps):
     return math.nextafter(em, 0.0), em, math.nextafter(em, math.inf)
 
 
+def _floor_cases():
+    """(tiny domain, [(domain, members, eps)]) around which the floor tests run."""
+    tiny = LocationDomain(  # every running sum is far below 2**-900
+        [(i * 1e-290, 0.0) for i in range(4)], [0.25] * 4
+    )
+    cases = [(tiny, [0, 1], 1.0), (tiny, [1, 2, 3], 0.5)]
+    for s in range(8):
+        rng = np.random.default_rng([92, s])
+        dom = synth_domain(int(rng.integers(10, 60)), seed=6000 + s)
+        for _ in range(6):
+            size = int(rng.integers(2, 9))
+            members = rng.choice(dom.n, size=size, replace=False).tolist()
+            cases.append((dom, members, float(rng.choice([0.25, 1.0, 2.0]))))
+    return tiny, cases
+
+
 def test_running_floor_test_is_exact(monkeypatch):
     """Thresholds on a set's floor and one ulp either side get the exact answer."""
     fallbacks = []
@@ -133,18 +149,8 @@ def test_running_floor_test_is_exact(monkeypatch):
         return satisfies_error_bound(*args)
 
     monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
-    tiny = LocationDomain(  # every running sum is far below 2**-900
-        [(i * 1e-290, 0.0) for i in range(4)], [0.25] * 4
-    )
+    tiny, cases = _floor_cases()
     zero = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
-    cases = [(tiny, [0, 1], 1.0), (tiny, [1, 2, 3], 0.5)]
-    for s in range(8):
-        rng = np.random.default_rng([92, s])
-        dom = synth_domain(int(rng.integers(10, 60)), seed=6000 + s)
-        for _ in range(6):
-            size = int(rng.integers(2, 9))
-            members = rng.choice(dom.n, size=size, replace=False).tolist()
-            cases.append((dom, members, float(rng.choice([0.25, 1.0, 2.0]))))
     ties = 0
     for dom, members, eps in cases:
         floor = min_mean_distance(dom, members)
@@ -163,6 +169,44 @@ def test_running_floor_test_is_exact(monkeypatch):
         assert mass == 0.0
         assert _admits(zero, [0, 1], low_sum, mass, 1.0, em) is False
         assert not satisfies_error_bound(zero, [0, 1], 1.0, em)
+
+
+def test_running_floor_array_form(monkeypatch):
+    """The array form gives the exact answers and asks for members where the scalar form falls back."""
+    fallbacks = []
+
+    def exact(*args):
+        fallbacks.append(args)
+        return satisfies_error_bound(*args)
+
+    _, cases = _floor_cases()
+    zero = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
+    cases.append((zero, [0, 1], 1.0))
+    sums = [_running_floor_sum(dom, members) for dom, members, _ in cases]
+    undecided = 0
+    for dom, members, eps in cases:
+        # every set of this domain, with the threshold around this one's floor
+        same = [c for c, case in enumerate(cases) if case[0] is dom]
+        ems = (0.0, 0.1) if dom is zero else (0.0, *_ems_around(min_mean_distance(dom, members), eps))
+        for em in ems:
+            asked = []
+            got = _admits(dom, lambda t: asked.append(t) or cases[same[t]][1],
+                          np.array([sums[c][0] for c in same]), np.array([sums[c][1] for c in same]),
+                          np.array([cases[c][2] for c in same]), em)
+            assert got.dtype == bool
+            assert got.tolist() == [satisfies_error_bound(dom, cases[c][1], cases[c][2], em)
+                                    for c in same]
+            monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
+            scalar_fallbacks = []
+            for t, c in enumerate(same):
+                before = len(fallbacks)
+                _admits(dom, cases[c][1], *sums[c], cases[c][2], em)
+                if len(fallbacks) > before:
+                    scalar_fallbacks.append(t)
+            monkeypatch.undo()
+            assert asked == scalar_fallbacks
+            undecided += len(asked)
+    assert undecided >= len(cases) // 2
 
 
 def test_location_validation():

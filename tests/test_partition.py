@@ -202,12 +202,18 @@ def test_best_hilbert_propagates_infeasibility():
 
 
 def test_partitioners_admit_exactly(monkeypatch):
-    """Every running-floor decision of both partitioners equals the exact test."""
+    """Every running-floor decision of both partitioners equals the exact test,
+    the qk leftover phase's batched decisions included."""
     agree = []
+    batched = []
 
     def checked(domain, members, low_sum, mass, eps_region, em):
         got = _admits(domain, members, low_sum, mass, eps_region, em)
-        agree.append(got == satisfies_error_bound(domain, members, eps_region, em))
+        if isinstance(low_sum, np.ndarray):
+            for t, (verdict, eps) in enumerate(zip(got.tolist(), eps_region.tolist())):
+                batched.append(verdict == satisfies_error_bound(domain, members(t), eps, em))
+        else:
+            agree.append(got == satisfies_error_bound(domain, members, eps_region, em))
         return got
 
     for mod in (partition_mod, qkmeans_mod):
@@ -232,6 +238,8 @@ def test_partitioners_admit_exactly(monkeypatch):
             counts[label] += len(agree) - before
     assert all(agree)
     assert min(counts.values()) > 100, counts
+    assert all(batched)
+    assert len(batched) > 1000, len(batched)
 
 
 def test_partition_roundtrip(tmp_path):

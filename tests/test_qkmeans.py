@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import locobf.domain as domain_mod
+import locobf.qkmeans as qkmeans_mod
 from locobf import (
     InfeasibleParamsError,
     LocationDomain,
@@ -18,7 +19,13 @@ from locobf import (
     synth_domain,
     weighted_avg_diameter,
 )
-from reference_impls import reference_assign_round, reference_feasible, reference_seed_centers
+from reference_impls import (
+    reference_assign_round,
+    reference_feasible,
+    reference_seed_centers,
+    serial_assign_round,
+    serial_search_k,
+)
 
 
 def test_config_validation():
@@ -245,3 +252,106 @@ def test_assign_round_open_cluster_is_infeasible():
     assert members == want == [[0, 1], [3, 2, 4]]
     assert complete
     assert not feasible
+
+
+def _search_cases():
+    """(domain, params, config, k, personalized, weighted) on 66 domains."""
+    cases = []
+    for s in range(60):
+        rng = np.random.default_rng([95, s])
+        dom = synth_domain(int(rng.integers(12, 41)), seed=9000 + s)
+        personalized, weighted = _MODES[sorted(_MODES)[s % 3]]
+        if personalized:
+            dom = assign_personal_eps(dom, 0.5, 1.5, seed=s)
+        params = PrivacyParams(float(rng.choice([0.5, 1.0, 2.0])),
+                               float(rng.choice([0.05, 0.1, 0.2])))
+        config = QkConfig(max_samp=int(rng.integers(2, 7)), max_iter=(1, 2, 3, 100)[s % 4], seed=s)
+        cases.append((dom, params, config, int(rng.integers(2, dom.n // 2 + 1)),
+                      personalized, weighted))
+    # a 2 x 4 grid of equal priors: every pairing of neighbours has w = 1 exactly
+    grid = LocationDomain([(float(x), float(y)) for x in range(4) for y in range(2)], [0.125] * 8)
+    for s in range(6):
+        cases.append((grid, PrivacyParams(0.1, 0.3), QkConfig(max_samp=8, seed=s), 4, False, False))
+    return cases
+
+
+def test_search_k_matches_serial(monkeypatch):
+    """The lockstep search returns the serial search's best family and w and
+    makes the same fills, on cut-offs, shared centers and ties in w included."""
+    batches = []
+    real = qkmeans_mod.assign_round
+
+    def recording(domain, centers, *args):
+        got = real(domain, centers, *args)
+        batches.append((centers.copy(), got))
+        return got
+
+    monkeypatch.setattr(qkmeans_mod, "assign_round", recording)
+    seen = dict.fromkeys(("cut", "shared", "tie", "batched"), 0)
+    for dom, params, config, k, personalized, weighted in _search_cases():
+        batches.clear()
+        rounds = []
+        got = qkmeans_mod._search_k(dom, params, config, k, personalized, weighted)
+        assert got == serial_search_k(dom, params, config, k, personalized, weighted, rounds)
+        fills = {key: fill for _, key, fill in rounds if fill is not None}
+        assert {c.tobytes(): (f, ok) for stack, got in batches
+                for c, (f, ok) in zip(stack, got)} == fills
+        assert len(batches) <= config.max_iter
+        seen["batched"] += max(len(stack) for stack, _ in batches) > 1
+        paths = {}
+        for restart, key, _ in rounds:
+            paths.setdefault(restart, []).append(key)
+        seen["cut"] += any(len(path) == config.max_iter < 100 for path in paths.values())
+        seen["shared"] += any(len({path[t] for path in paths.values() if len(path) > t})
+                              < sum(len(path) > t for path in paths.values())
+                              for t in range(config.max_iter))
+        # distinct families from different restarts at the best w
+        best_w = got[1]
+        at_best = {(frozenset(map(frozenset, fill[0])), restart) for restart, _, fill in rounds
+                   if fill is not None and fill[1] and
+                   qkmeans_mod._sets_wad(dom, fill[0]) == best_w}
+        seen["tie"] += len({family for family, _ in at_best}) > 1 and \
+            len({restart for _, restart in at_best}) > 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_assign_round_stack_matches_single_fills(mode):
+    personalized, weighted = _MODES[mode]
+    rng = np.random.default_rng(96)
+    for s in range(6):
+        dom = synth_domain(int(rng.integers(12, 41)), seed=9100 + s)
+        if personalized:
+            dom = assign_personal_eps(dom, 0.5, 1.5, seed=s)
+        params = PrivacyParams(1.0, float(rng.choice([0.05, 0.1])))
+        k = int(rng.integers(1, dom.n // 2 + 1))
+        stack = np.array([seed_centers(dom, k, rng) for _ in range(5)])
+        got = assign_round(dom, stack, params, personalized, weighted)
+        assert got == [serial_assign_round(dom, c, params, personalized, weighted) for c in stack]
+        assert assign_round(dom, stack[2], params, personalized, weighted) == got[2]
+
+
+def test_next_centers_match_mean():
+    """Bit for bit the per-cluster positions[f].mean(axis=0), empty clusters
+    keeping their centers and a column of -0.0 coordinates included."""
+    rng = np.random.default_rng(97)
+    xy = rng.uniform(-1e3, 1e3, size=(400, 2)) * rng.choice([1e-6, 1.0, 1e6], size=(400, 1))
+    xy[:5, 0] = -0.0  # ids 0-4 form a cluster whose x column is all -0.0
+    xy[5:9] = -xy[9:13]  # and ids 5-12 one whose coordinates cancel
+    dom = LocationDomain(xy, np.ones(400))
+    k = 7
+    families = []
+    for _ in range(4):
+        ids = rng.permutation(np.arange(13, 400)).tolist()
+        cuts = np.sort(rng.choice(len(ids), size=k - 4, replace=False)).tolist()
+        parts = [ids[a:b] for a, b in zip([0] + cuts, cuts + [len(ids)])]
+        families.append([list(rng.permutation(5)), []] + parts[:1]
+                        + [rng.permutation(np.arange(5, 13)).tolist()] + parts[1:])
+    centers = rng.uniform(-5.0, 5.0, size=(4, k, 2))
+    nxt, moved = qkmeans_mod._next_centers(dom, centers, families)
+    assert any(len(f) > 300 for family in families for f in family)
+    for r, family in enumerate(families):
+        want = np.array([dom.positions[f].mean(axis=0) if f else centers[r, j]
+                         for j, f in enumerate(family)])
+        assert nxt[r].tobytes() == want.tobytes()
+        assert moved[r] == float(np.linalg.norm(want - centers[r], axis=1).max())

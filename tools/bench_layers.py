@@ -11,7 +11,12 @@ seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))), partitioned by
 best_hilbert_partition at eps=1, em=0.1. The layers are synth_domain,
 best_hilbert_partition, build_matrix, build_matrix_constant (at the
 largest set diameter), compute_metrics (on the build_matrix matrix) and
-sample_pseudo (single-user draws, seed [n, 1]).
+sample_pseudo (single-user draws, seed [n, 1]). For n = 50 and 200 the
+qk_partition layer runs the default QkConfig() search on the same domain
+at the same eps and em, uniform and (as qk_partition/personalized) on
+budgets from assign_personal_eps(..., 0.5, 1.5, seed=n); besides its time
+and peak it counts the fills of one search and the assign_round calls
+that made them (the lockstep steps, where restarts are filled together).
 
 A layer's wall_s is the median of three untraced calls; its peak_mib
 is the tracemalloc peak of one more, traced call, and peak_n2 the same
@@ -32,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 200, 1000, 3000)
+QK_SIZES = (50, 200)
 EPS, EM = 1.0, 0.1
 DRAWS = 2000  # single-user sample_pseudo calls per timed run
 REPEATS = 3  # untraced calls per layer
@@ -86,7 +92,37 @@ def run_layers():
 
         record("sample_pseudo", n, draws,
                lambda wall: {"draws": DRAWS, "draws_per_s": DRAWS / wall})
+        if n not in QK_SIZES:
+            continue
+        pdom = lb.assign_personal_eps(dom, 0.5, 1.5, seed=n)
+        for layer, qk_dom, personalized in (("qk_partition", dom, False),
+                                            ("qk_partition/personalized", pdom, True)):
+            def search():
+                return lb.qk_partition(qk_dom, lb.PrivacyParams(EPS, EM), lb.QkConfig(),
+                                       personalized=personalized)
+
+            record(layer, n, search, lambda wall: _count_fills(search))
     return layers
+
+
+def _count_fills(search):
+    """Fills and assign_round calls of one more search() call."""
+    import locobf.qkmeans as qkmeans
+
+    real = qkmeans.assign_round
+    counts = {"fills": 0, "lockstep_steps": 0}
+
+    def counting(domain, centers, *args, **kwargs):
+        counts["lockstep_steps"] += 1
+        counts["fills"] += 1 if getattr(centers, "ndim", 2) == 2 else len(centers)
+        return real(domain, centers, *args, **kwargs)
+
+    qkmeans.assign_round = counting
+    try:
+        search()
+    finally:
+        qkmeans.assign_round = real
+    return counts
 
 
 def run_in_tree(root, module, function):
@@ -133,7 +169,8 @@ def main(argv=None):
     report = {
         "sizes": SIZES,
         "inputs": "synth_domain(n, seed=[n, 0], grid_side=max(16, ceil(sqrt(2n)))); "
-                  f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]",
+                  f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]; qk_partition at n in "
+                  f"{QK_SIZES} with QkConfig(), personalized budgets U[0.5, 1.5] seed n",
         "repeats": REPEATS,
         "blas_threads": 1,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),

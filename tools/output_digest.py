@@ -13,6 +13,12 @@ bench_layers.run_in_tree, on the same fixed inputs:
   criterion 7 (synth_domain(50, seed=3000 + i), eps=1, em=0.1): the
   walk, qk and personalized-qk partitions, each set's members, diam,
   mass, eps_region and the provenance;
+- criterion 9's 40 clustered towns (test_acceptance._blob_inputs(50, i),
+  budgets from assign_personal_eps(..., 0.5, 1.5, seed=i), eps=1,
+  em=0.1, QkConfig(max_samp=5, seed=i)): the personalized qk partitions
+  with and without the budget weight;
+- the corpus again under QkConfig(max_samp=4, max_iter=2, seed=i): the
+  qk partitions of a search cut off before its centers converge;
 - release-large's three domains at seeds 0-2 (the wide one has a fixed
   seed, so it is hashed once): the rows and meta arrays of both
   matrices (build_matrix on the walk, and build_matrix_constant at the
@@ -28,7 +34,7 @@ import sys
 
 import numpy as np
 
-from bench_layers import parse_trees, run_in_tree
+from bench_layers import ROOT, parse_trees, run_in_tree
 
 # (label, n, grid side, eps, em, fixed synth seed or None), as perfbench's release-large
 RELEASE = (
@@ -79,6 +85,19 @@ def _partition_groups(lb, name, cases, config_of):
             f"{name}/qk-personalized": _digest(personal)}
 
 
+def _personal_groups(lb, name, towns, config_of):
+    """Digests of the personalized qk partitions, with and without the budget weight."""
+    weighted, unweighted = [], []
+    for i, (dom, params) in enumerate(towns):
+        pdom = lb.assign_personal_eps(dom, 0.5, 1.5, seed=i)
+        weighted += _partition_values(
+            lb.qk_partition(pdom, params, config_of(i), personalized=True))
+        unweighted += _partition_values(
+            lb.qk_partition(pdom, params, config_of(i), personalized=True, weighted=False))
+    return {f"{name}/qk-personalized": _digest(weighted),
+            f"{name}/qk-personalized-unweighted": _digest(unweighted)}
+
+
 def _release_groups(lb, name, dom, eps, em):
     part = lb.best_hilbert_partition(dom, lb.PrivacyParams(eps, em))
     d_max = max(p.diam for p in part.plss)
@@ -109,6 +128,18 @@ def run_digests():
                                     lambda i: lb.QkConfig(max_samp=2, seed=i)))
     groups.update(_partition_groups(lb, "criterion7", criterion7,
                                     lambda i: lb.QkConfig(max_samp=30, seed=i)))
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_acceptance import _blob_inputs
+
+    towns = [(lb.LocationDomain(*_blob_inputs(50, i)), lb.PrivacyParams(1.0, 0.1))
+             for i in range(40)]
+    groups.update(_personal_groups(lb, "criterion9", towns,
+                                   lambda i: lb.QkConfig(max_samp=5, seed=i)))
+    cutoff = []
+    for i, (dom, params) in enumerate(corpus):
+        cutoff += _partition_values(
+            lb.qk_partition(dom, params, lb.QkConfig(max_samp=4, max_iter=2, seed=i)))
+    groups["corpus/qk-cutoff"] = _digest(cutoff)
     for k, (label, n, side, eps, em, fixed) in enumerate(RELEASE):
         for seed in (RELEASE_SEEDS if fixed is None else (None,)):
             dom = lb.synth_domain(n, seed=fixed if seed is None else [seed, k], grid_side=side)
