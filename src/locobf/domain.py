@@ -6,6 +6,7 @@ privacy budget. Everything downstream (partitioning, the release matrix,
 the adversary metrics) works on these values.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,17 @@ def _pairwise_distances(positions):
     return out
 
 
+def _checked_budgets(personal_eps, n):
+    """personal_eps as a read-only float array of n finite budgets > 0."""
+    personal_eps = np.array(personal_eps, dtype=float)
+    if personal_eps.shape != (n,):
+        raise ValueError(f"personal eps must have shape ({n},)")
+    if not (np.isfinite(personal_eps) & (personal_eps > 0)).all():
+        raise ValueError("personal eps must be finite and > 0")
+    personal_eps.setflags(write=False)
+    return personal_eps
+
+
 class LocationDomain:
     """Finite location set with a normalized prior, held as arrays.
 
@@ -102,20 +114,15 @@ class LocationDomain:
         if not total > 0:
             raise ValueError("priors must have positive total mass")
         if personal_eps is not None:
-            personal_eps = np.array(personal_eps, dtype=float)
-            if personal_eps.shape != (n,):
-                raise ValueError(f"personal eps must have shape ({n},)")
-            if not (np.isfinite(personal_eps) & (personal_eps > 0)).all():
-                raise ValueError("personal eps must be finite and > 0")
+            personal_eps = _checked_budgets(personal_eps, n)
         self.positions = positions
         self.priors = priors / total
         self.personal_eps = personal_eps
         self.distances = _pairwise_distances(positions)
         if not self.distances.max() < math.inf:
             raise ValueError("pairwise distances overflow float64; coordinates are too far apart")
-        for arr in (self.positions, self.priors, self.distances, self.personal_eps):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (self.positions, self.priors, self.distances):
+            arr.setflags(write=False)
 
     @property
     def n(self):
@@ -382,9 +389,15 @@ def synth_domain(n, cell_km=1.0, prior_low=0.01, prior_high=0.03, seed=0, grid_s
 
 
 def assign_personal_eps(domain, low, high, seed):
-    """Copy of the domain with per-location budgets drawn U[low, high]."""
+    """Copy of the domain with per-location budgets drawn U[low, high].
+
+    The copy shares the source's read-only positions, priors and
+    distances, so it neither recomputes the distances nor renormalizes
+    the priors.
+    """
     if not 0 < low <= high < math.inf:
         raise ValueError("need 0 < low <= high < inf")
     rng = np.random.default_rng(seed)
-    eps = rng.uniform(low, high, size=domain.n)
-    return LocationDomain(domain.positions, domain.priors, eps)
+    personal = copy.copy(domain)
+    personal.personal_eps = _checked_budgets(rng.uniform(low, high, size=domain.n), domain.n)
+    return personal

@@ -358,6 +358,7 @@ def test_assign_personal_eps():
     dom = synth_domain(20, seed=1)
     assert dom.personal_eps is None
     got = assign_personal_eps(dom, 0.5, 1.5, seed=4)
+    assert dom.personal_eps is None  # the source keeps no budgets
     again = assign_personal_eps(dom, 0.5, 1.5, seed=4)
     assert np.array_equal(got.personal_eps, again.personal_eps)
     assert got.personal_eps.min() >= 0.5 and got.personal_eps.max() <= 1.5

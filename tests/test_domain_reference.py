@@ -2,7 +2,9 @@
 
 Each builder, and the curve ordering at every rotation, is checked bit
 for bit against the record-based copies in reference_impls, on the
-domains the acceptance criteria and the release-large benchmark use.
+domains the acceptance criteria and the release-large benchmark use. A
+personalized copy must hold its source's own arrays and the reference's
+budgets.
 """
 
 import io
@@ -42,6 +44,14 @@ def _assert_same(got, want):
                 reference_order_ids(want, order, rotation)
 
 
+def _assert_budgets_added(got, source, want):
+    for field in ("positions", "priors", "distances"):
+        assert getattr(got, field) is getattr(source, field), field
+    assert got.personal_eps.dtype == want.personal_eps.dtype
+    assert got.personal_eps.tobytes() == want.personal_eps.tobytes()
+    assert not got.personal_eps.flags.writeable
+
+
 def _synth_pair(n, seed, **kwargs):
     return synth_domain(n, seed=seed, **kwargs), reference_synth_domain(n, seed=seed, **kwargs)
 
@@ -51,8 +61,8 @@ def test_acceptance_corpus_domains_match():
     for i in range(100):
         dom, ref = _synth_pair(20 + (i % 31), 4000 + i)
         _assert_same(dom, ref)
-        _assert_same(assign_personal_eps(dom, 0.5, 1.5, seed=i),
-                     reference_assign_personal_eps(ref, 0.5, 1.5, seed=i))
+        _assert_budgets_added(assign_personal_eps(dom, 0.5, 1.5, seed=i), dom,
+                              reference_assign_personal_eps(ref, 0.5, 1.5, seed=i))
 
 
 def test_experiment_domains_match():
@@ -66,8 +76,8 @@ def test_experiment_domains_match():
             ReferenceLocation(j, pos, float(priors[j])) for j, pos in enumerate(positions)
         ])
         _assert_same(dom, ref)
-        _assert_same(assign_personal_eps(dom, 0.5, 1.5, seed=i),
-                     reference_assign_personal_eps(ref, 0.5, 1.5, seed=i))
+        _assert_budgets_added(assign_personal_eps(dom, 0.5, 1.5, seed=i), dom,
+                              reference_assign_personal_eps(ref, 0.5, 1.5, seed=i))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
