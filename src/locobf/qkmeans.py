@@ -23,6 +23,10 @@ __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partiti
 
 # centers that all move less than this (km) have converged
 _CENTER_TOL = 1e-6
+# floats of leftover rows (n each) per batch of the leftover phase, whose
+# stack holds a few such rows per leftover: a batch of fills holds at most
+# this many plus its last fill's, however many restarts are filled together
+_LEFTOVER_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,7 @@ def seed_centers(domain, k, rng):
         weights = nearest[remaining]
         total = weights.sum()
         if total > 0:
+            # the id and rng use of rng.choice(remaining, p=weights / total)
             pick = int(remaining[_draw(weights / total, rng)])
         else:
             pick = int(rng.choice(remaining))
@@ -138,8 +143,16 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
         for b, s, a in zip(base, sums, assigned)
     ))
     budgets = domain.personal_eps if personalized else np.full(n, params.eps)
-    placed = _place_leftovers(domain, base, table, members, sums, np.array(mass),
-                              np.array(cluster_eps), assigned, budgets, params.em)
+    mass, cluster_eps = np.array(mass), np.array(cluster_eps)
+    # fills go through the leftover phase in batches of about _LEFTOVER_FLOATS
+    left = (~assigned).sum(axis=1)
+    batch = (np.cumsum(left) - left) * n // _LEFTOVER_FLOATS
+    cuts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist() + [fills]
+    placed = np.concatenate([
+        _place_leftovers(domain, base[lo:hi], table, members[lo:hi], sums[lo:hi], mass[lo:hi],
+                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em)
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
     results = [(family, bool(c and p)) for family, c, p in zip(members, closed, placed)]
     return results[0] if centers.ndim == 2 else results
 
@@ -269,9 +282,11 @@ def _next_centers(domain, centers, families):
     """Every fill's next centers and its largest center move.
 
     A cluster's next center is its members' mean position, summed in
-    join order from 0.0 by one np.bincount per axis, which gives the
-    same floats as positions[members].mean(axis=0); an empty cluster
-    keeps its center. centers has shape (fills, k, 2).
+    join order from +0.0 by one np.bincount per axis. numpy's
+    positions[members].mean(axis=0) sums the rows in the same order from
+    the same +0.0, so the floats are equal, signed zeros included
+    (test_next_centers_match_mean checks this). An empty cluster keeps
+    its center. centers has shape (fills, k, 2).
     """
     fills, k = centers.shape[:2]
     sizes = [len(f) for family in families for f in family]
@@ -332,7 +347,8 @@ def _search_k(domain, params, config, k, personalized, weighted):
                     if w == lowest_w:
                         lowest[key] = family
                 moves[key] = (c, m, w)
-        live = [moves[c.tobytes()][0] for c in live if moves[c.tobytes()][1] >= _CENTER_TOL]
+        live = [nxt for nxt, moved, _ in map(moves.get, (c.tobytes() for c in live))
+                if moved >= _CENTER_TOL]
         if not live:
             break
 

@@ -315,8 +315,13 @@ def test_search_k_matches_serial(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("batch", [None, 1000])
 @pytest.mark.parametrize("mode", sorted(_MODES))
-def test_assign_round_stack_matches_single_fills(mode):
+def test_assign_round_stack_matches_single_fills(mode, batch, monkeypatch):
+    """A stack of fills equals its single fills, also when the leftover
+    phase takes the fills a few at a time."""
+    if batch is not None:
+        monkeypatch.setattr(qkmeans_mod, "_LEFTOVER_FLOATS", batch)
     personalized, weighted = _MODES[mode]
     rng = np.random.default_rng(96)
     for s in range(6):

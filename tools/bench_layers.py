@@ -114,7 +114,7 @@ def _count_fills(search):
 
     def counting(domain, centers, *args, **kwargs):
         counts["lockstep_steps"] += 1
-        counts["fills"] += 1 if getattr(centers, "ndim", 2) == 2 else len(centers)
+        counts["fills"] += 1 if centers.ndim == 2 else len(centers)
         return real(domain, centers, *args, **kwargs)
 
     qkmeans.assign_round = counting
