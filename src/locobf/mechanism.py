@@ -7,7 +7,7 @@ nearly indistinguishable report distributions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class ObfuscationMatrix:
     row_pls: np.ndarray | None = None
     row_sensitivity: np.ndarray | None = None
     row_eps: np.ndarray | None = None
+    # true id -> that row's read-only CDF, built and checked on its first draw;
+    # threads racing on a first draw store equal arrays, so the cache needs no lock
+    _cdfs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -67,6 +70,14 @@ class ObfuscationMatrix:
     @property
     def n(self):
         return self.rows.shape[0]
+
+    def _cdf(self, true_id):
+        cdf = self._cdfs.get(true_id)
+        if cdf is None:
+            cdf = _choice_cdf(self.rows[true_id])
+            cdf.setflags(write=False)
+            self._cdfs[true_id] = cdf
+        return cdf
 
 
 def _exp_rows(domain, groups):
@@ -116,38 +127,32 @@ def build_matrix_constant(domain, d_const, eps):
     return _exp_rows(domain, [(slice(None), d_const, eps)])
 
 
-def _draw(rows, rng, size=None):
-    """Ids drawn by inverse CDF exactly as Generator.choice(n, size, p=row) draws them.
+def _choice_cdf(p):
+    """The CDF Generator.choice(n, p=p) searches, after choice's checks on p.
 
-    For one row (1-D) the draw has the given size; for a block of rows
-    (2-D) it is one id per row, from one rng.random(len(rows)) call,
-    which yields the same doubles as that many single calls. Either way
-    the rng stream and every id equal choice's. choice's row checks are
-    kept, with each row total read from the cumulative sum.
+    A draw is cdf.searchsorted(rng.random(size), side="right"): the same
+    ids and rng use as choice's. The checks are choice's, with the total
+    read from the cumulative sum.
     """
-    if rows.min() < 0:
+    if p.min() < 0:
         raise ValueError("probabilities must be >= 0")
-    cdf = rows.cumsum(axis=-1)
-    total = cdf[..., -1:]
-    # a NaN or infinite entry (negatives ruled out) makes its total fail this bound too
-    worst = abs(cdf[-1] - 1.0) if rows.ndim == 1 else np.abs(total - 1.0).max()
-    if not worst <= _CHOICE_ATOL:
+    cdf = p.cumsum()
+    # a NaN or infinite entry (negatives ruled out) makes the total fail this bound too
+    if not abs(cdf[-1] - 1.0) <= _CHOICE_ATOL:
         raise ValueError("probabilities must be finite and sum to 1")
-    cdf /= total
-    if rows.ndim == 1:
-        return cdf.searchsorted(rng.random(size), side="right")
-    # the count of cdf <= u is searchsorted(cdf, u, side="right") on each row
-    return np.count_nonzero(cdf <= rng.random(len(rows))[:, None], axis=1)
+    cdf /= cdf[-1]
+    return cdf
 
 
 def sample_pseudo(matrix, true_id, rng, size=None):
     """Draw pseudo-location ids from the row of true_id.
 
-    Returns an int for size=None, otherwise an array of ids.
+    Returns an int for size=None, otherwise an array of ids. The row's
+    CDF is built and checked on its first draw and kept in the matrix.
     """
     if not 0 <= true_id < matrix.n:
         raise ValueError(f"unknown location id {true_id}")
-    draw = _draw(matrix.rows[true_id], rng, size)
+    draw = matrix._cdf(true_id).searchsorted(rng.random(size), side="right")
     if size is None:
         return int(draw)
     return draw
@@ -160,7 +165,8 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
     pseudo-location drawn from the matrix. Every task takes the three
     idle workers nearest by reported position (ties by worker id) and
     scores the mean distance from their actual positions; tasks are
-    independent, so one worker may serve several.
+    independent, so one worker may serve several. Draws read the row
+    CDFs the matrix keeps, as sample_pseudo does.
     """
     tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
     if tasks.shape[1] != 2:
@@ -174,7 +180,10 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
     if idle_count > domain.n:
         raise ValueError("idle_count exceeds the number of workers")
     idle = np.sort(rng.choice(domain.n, size=idle_count, replace=False))
-    reported = domain.positions[_draw(matrix.rows[idle], rng)]
+    # every row is checked before the draw, which yields the doubles of one call per worker
+    cdfs = [matrix._cdf(w) for w in idle.tolist()]
+    u = rng.random(len(idle)).tolist()
+    reported = domain.positions[[cdf.searchsorted(x, side="right") for cdf, x in zip(cdfs, u)]]
     dx = reported[:, 0] - tasks[:, :1]
     dy = reported[:, 1] - tasks[:, 1:]
     # tasks x idle workers; the same floats as np.linalg.norm over each (dx, dy)

@@ -135,7 +135,10 @@ def _sets_wad(domain, sets, known=None):
     for s in sets:
         key = tuple(sorted(s))
         if key not in known:
-            known[key] = (prior_mass(domain, key), diameter(domain, key))
+            # the floats of prior_mass and diameter; the callers' ids are distinct and valid
+            idx = np.array(key)
+            diam = float(domain.distances[idx[:, None], idx].max()) if len(idx) > 1 else 0.0
+            known[key] = (float(domain.priors[idx].sum()), diam)
         geometry.append(known[key])
     return _mean_diameter(geometry)
 

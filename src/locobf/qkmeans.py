@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _admits
-from .mechanism import _draw
+from .mechanism import _choice_cdf
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
 __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partition"]
@@ -78,7 +78,8 @@ def seed_centers(domain, k, rng):
         total = weights.sum()
         if total > 0:
             # the id and rng use of rng.choice(remaining, p=weights / total)
-            pick = int(remaining[_draw(weights / total, rng)])
+            cdf = _choice_cdf(weights / total)
+            pick = int(remaining[cdf.searchsorted(rng.random(), side="right")])
         else:
             pick = int(rng.choice(remaining))
         chosen.append(pick)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,61 @@ def test_sampler_equals_choice_draws():
             for size in (None, 0, 1, 7, (2, 3), (4, 1, 2)):
                 for true_id in (0, dom.n // 2, dom.n - 1):
                     _assert_same_draws(m, true_id, [seed, mi, true_id], size)
+
+
+def test_cached_rows_draw_what_choice_draws():
+    """Draws that read a row's kept CDF still replay choice, id for id."""
+    for seed in range(6):
+        dom = synth_domain(12 + 5 * seed, seed=seed, grid_side=8)
+        tasks = _grid_tasks(np.random.default_rng([seed, 1]), 8, 10)
+        for mi, m in enumerate(_release_matrices(dom, PrivacyParams(1.0, 0.2))):
+            rng, ref = np.random.default_rng([seed, mi]), np.random.default_rng([seed, mi])
+            plan = np.random.default_rng([seed, mi, 1])
+            drawn = set()
+            # one row many times, then rows in random order, then draws mixed with wtd rounds
+            steps = [("draw", dom.n // 3)] * 40
+            steps += [("draw", int(i)) for i in plan.integers(dom.n, size=60)]
+            steps += [("wtd", None) if plan.random() < 0.3 else ("draw", int(plan.integers(dom.n)))
+                      for _ in range(60)]
+            for kind, true_id in steps:
+                if kind == "wtd":
+                    idle_count = int(plan.integers(3, dom.n + 1))
+                    got = worker_travel_distance(dom, m, tasks, idle_count, rng)
+                    assert got == reference_worker_travel_distance(dom, m, tasks, idle_count, ref)
+                    drawn = None  # from here the kept rows include idle workers not tracked
+                    continue
+                size = (None, 3)[int(plan.integers(2))]
+                got = sample_pseudo(m, true_id, rng, size=size)
+                assert np.array_equal(got, reference_sample_pseudo(m, true_id, ref, size=size))
+                if drawn is not None:
+                    drawn.add(true_id)
+                    assert set(m._cdfs) == drawn  # one kept row per distinct id drawn
+            assert rng.random() == ref.random()
+
+
+def test_cached_cdf_rows_are_read_only():
+    dom = synth_domain(20, seed=1)
+    m = build_matrix_constant(dom, 2.0, 1.0)
+    sample_pseudo(m, 4, np.random.default_rng(0))
+    worker_travel_distance(dom, m, [[0.0, 0.0]], 5, np.random.default_rng(1))
+    assert 4 in m._cdfs and len(m._cdfs) > 1
+    for cdf in m._cdfs.values():
+        with pytest.raises(ValueError, match="read-only"):
+            cdf[0] = 0.0
+
+
+def test_first_draw_keeps_one_row_not_the_matrix():
+    n = 2000
+    m = ObfuscationMatrix(np.full((n, n), 1.0 / n))
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        sample_pseudo(m, 7, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * 8
+    assert list(m._cdfs) == [7]
 
 
 def test_wtd_equals_the_per_task_loop_on_grid_domains():

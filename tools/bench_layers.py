@@ -10,13 +10,18 @@ fixed inputs: for n = 50, 200, 1000 and 3000, synth_domain(n,
 seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))), partitioned by
 best_hilbert_partition at eps=1, em=0.1. The layers are synth_domain,
 best_hilbert_partition, build_matrix, build_matrix_constant (at the
-largest set diameter), compute_metrics (on the build_matrix matrix) and
-sample_pseudo (single-user draws, seed [n, 1]). For n = 50 and 200 the
-qk_partition layer runs the default QkConfig() search on the same domain
-at the same eps and em, uniform and (as qk_partition/personalized) on
-budgets from assign_personal_eps(..., 0.5, 1.5, seed=n); besides its time
-and peak it counts the fills of one search and the assign_round calls
-that made them (the lockstep steps, where restarts are filled together).
+largest set diameter), compute_metrics (on the build_matrix matrix),
+sample_pseudo (single-user draws, seed [n, 1]) and worker_travel_distance
+(five rounds of min(300, n) idle workers and 1000 tasks uniform over the
+domain's bounding box, seeds [n, 2] and [n, 3, round]). Both draw layers
+reuse one matrix across the timed calls, as a server does, so after the
+first call they read row CDFs the matrix already keeps. For n = 50 and
+200 the qk_partition layer runs the default QkConfig() search on the
+same domain at the same eps and em, uniform and (as
+qk_partition/personalized) on budgets from assign_personal_eps(..., 0.5,
+1.5, seed=n); besides its time and peak it counts the fills of one
+search and the assign_round calls that made them (the lockstep steps,
+where restarts are filled together).
 
 A layer's wall_s is the median of three untraced calls; its peak_mib
 is the tracemalloc peak of one more, traced call, and peak_n2 the same
@@ -40,6 +45,7 @@ SIZES = (50, 200, 1000, 3000)
 QK_SIZES = (50, 200)
 EPS, EM = 1.0, 0.1
 DRAWS = 2000  # single-user sample_pseudo calls per timed run
+WTD_TASKS, WTD_IDLE, WTD_ROUNDS = 1000, 300, 5  # worker_travel_distance rounds per timed run
 REPEATS = 3  # untraced calls per layer
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -92,6 +98,18 @@ def run_layers():
 
         record("sample_pseudo", n, draws,
                lambda wall: {"draws": DRAWS, "draws_per_s": DRAWS / wall})
+        lo, hi = dom.positions.min(axis=0), dom.positions.max(axis=0)
+        tasks = lo + np.random.default_rng([n, 2]).uniform(size=(WTD_TASKS, 2)) * (hi - lo)
+        idle = min(WTD_IDLE, n)
+
+        def wtd_rounds():
+            return [lb.worker_travel_distance(dom, matrix, tasks, idle,
+                                              np.random.default_rng([n, 3, r]))
+                    for r in range(WTD_ROUNDS)]
+
+        record("worker_travel_distance", n, wtd_rounds,
+               lambda wall: {"rounds": WTD_ROUNDS, "idle": idle, "tasks": WTD_TASKS,
+                             "round_s": wall / WTD_ROUNDS})
         if n not in QK_SIZES:
             continue
         pdom = lb.assign_personal_eps(dom, 0.5, 1.5, seed=n)
@@ -169,7 +187,9 @@ def main(argv=None):
     report = {
         "sizes": SIZES,
         "inputs": "synth_domain(n, seed=[n, 0], grid_side=max(16, ceil(sqrt(2n)))); "
-                  f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]; qk_partition at n in "
+                  f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]; worker_travel_distance "
+                  f"{WTD_ROUNDS} rounds, idle min({WTD_IDLE}, n), {WTD_TASKS} tasks, "
+                  "seeds [n, 2] and [n, 3, round]; qk_partition at n in "
                   f"{QK_SIZES} with QkConfig(), personalized budgets U[0.5, 1.5] seed n",
         "repeats": REPEATS,
         "blas_threads": 1,

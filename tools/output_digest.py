@@ -22,7 +22,12 @@ bench_layers.run_in_tree, on the same fixed inputs:
 - release-large's three domains at seeds 0-2 (the wide one has a fixed
   seed, so it is hashed once): the rows and meta arrays of both
   matrices (build_matrix on the walk, and build_matrix_constant at the
-  largest set diameter) and every MetricsReport field of each.
+  largest set diameter) and every MetricsReport field of each;
+- dispatch's domain at seeds 0-2 (synth_domain(1000, seed=[seed, 1],
+  grid_side=40), walk partition at eps=1, em=0.1, build_matrix): from one
+  rng, three worker_travel_distance scores (300 idle workers, 1000
+  uniform tasks) around two bursts of 1,000 sample_pseudo ids, half of
+  them from one heavy user, then the rng's next double.
 
 Prints one line per group with each tree's digest. With two or more
 trees it exits 1 when any group differs between them.
@@ -43,6 +48,8 @@ RELEASE = (
     ("wide", 1500, 1024, 2.0, 0.05, 1),
 )
 RELEASE_SEEDS = (0, 1, 2)
+# as perfbench's dispatch: n, grid side, eps, em, tasks, idle workers, draws per burst
+DISPATCH = (1000, 40, 1.0, 0.1, 1000, 300, 1000)
 
 
 def _feed(h, value):
@@ -113,6 +120,25 @@ def _release_groups(lb, name, dom, eps, em):
     return groups
 
 
+def _dispatch_values(lb, seed):
+    """wtd scores and single-user draws from one matrix, so later calls read kept rows."""
+    n, side, eps, em, task_count, idle, burst = DISPATCH
+    dom = lb.synth_domain(n, seed=[seed, 1], grid_side=side)
+    matrix = lb.build_matrix(dom, lb.best_hilbert_partition(dom, lb.PrivacyParams(eps, em)))
+    inputs = np.random.default_rng([seed, 3])
+    lo, hi = dom.positions.min(axis=0), dom.positions.max(axis=0)
+    tasks = lo + inputs.uniform(size=(task_count, 2)) * (hi - lo)
+    heavy = int(inputs.integers(n))
+    rng = np.random.default_rng([seed, 5])
+    values = [lb.worker_travel_distance(dom, matrix, tasks, idle, rng)]
+    for _ in range(2):
+        users = np.where(inputs.random(burst) < 0.5, heavy, inputs.integers(n, size=burst))
+        values.append(np.array([lb.sample_pseudo(matrix, u, rng) for u in users.tolist()]))
+        values.append(lb.worker_travel_distance(dom, matrix, tasks, idle, rng))
+    values.append(rng.random())
+    return values
+
+
 def run_digests():
     """Every group's digest, from the locobf on sys.path."""
     import locobf as lb
@@ -145,6 +171,7 @@ def run_digests():
             dom = lb.synth_domain(n, seed=fixed if seed is None else [seed, k], grid_side=side)
             name = f"release/{label}" + ("" if seed is None else f"/seed{seed}")
             groups.update(_release_groups(lb, name, dom, eps, em))
+    groups["dispatch"] = _digest([_dispatch_values(lb, seed) for seed in RELEASE_SEEDS])
     return groups
 
 
