@@ -8,17 +8,14 @@ result against a Bayesian adversary.
 
 from .adversary import (
     MetricsReport,
-    avg_error,
     bayes_attack,
     compute_metrics,
     conditional_error,
-    expected_error,
     load_metrics,
     optimal_attack,
     posterior,
     quality_loss,
     save_metrics,
-    success_prob,
 )
 from .domain import (
     DomainFormatError,

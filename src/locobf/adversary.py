@@ -18,10 +18,7 @@ __all__ = [
     "optimal_attack",
     "bayes_attack",
     "conditional_error",
-    "expected_error",
     "quality_loss",
-    "avg_error",
-    "success_prob",
     "MetricsReport",
     "compute_metrics",
     "save_metrics",
@@ -68,11 +65,11 @@ def quality_loss(domain, matrix):
 class MetricsReport:
     """Scalar and per-id adversary metrics for one (domain, matrix) pair."""
 
-    exp_err: float
+    exp_err: float        # mean optimal-attack distance over the pseudo-location marginal
     qloss: float
     cond_err: np.ndarray  # per pseudo-location
-    avg_err: np.ndarray   # per true location
-    success: np.ndarray   # per true location
+    avg_err: np.ndarray   # per true location: its expected optimal-attack distance
+    success: np.ndarray   # per true location: chance the Bayesian attack names it exactly
 
     NAMES = ("exp_err", "qloss", "cond_err", "avg_err", "success")
 
@@ -112,29 +109,6 @@ def compute_metrics(domain, matrix):
         hit = mode[None, :] == np.arange(lo, hi)[:, None]
         success[lo:hi] = (block * hit).sum(axis=1)
     return MetricsReport(exp_err, qloss, cond, avg, success)
-
-
-def expected_error(domain, matrix):
-    """Mean optimal-attack distance over the pseudo-location marginal."""
-    return compute_metrics(domain, matrix).exp_err
-
-
-def avg_error(domain, matrix, true_id):
-    """Expected optimal-attack distance when the true location is known."""
-    if not 0 <= true_id < matrix.n:
-        raise ValueError(f"unknown location id {true_id}")
-    return float(compute_metrics(domain, matrix).avg_err[true_id])
-
-
-def success_prob(domain, matrix, true_id):
-    """Probability that the Bayesian attack names the true location exactly.
-
-    The complementary value, the chance the posterior mode misses, is
-    simply 1 minus this.
-    """
-    if not 0 <= true_id < matrix.n:
-        raise ValueError(f"unknown location id {true_id}")
-    return float(compute_metrics(domain, matrix).success[true_id])
 
 
 _METRICS_HEADER = ["metric", "location_or_pseudo_id", "value"]

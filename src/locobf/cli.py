@@ -143,8 +143,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=_nonneg_int, default=0, help="master RNG seed")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
+
+    def seeded(p):
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="master RNG seed")
+        common(p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--n", type=_checked(int, lambda v: v >= 2, ">= 2"), required=True)
@@ -154,7 +157,7 @@ def build_parser():
     p.add_argument("--grid-side", type=_positive_int, default=16, dest="grid_side")
     p.add_argument("--eps-range", type=_float_pair, default=None, dest="eps_range",
                    help="add per-location budgets drawn uniformly from LO,HI")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("partition", help="partition a dataset into protection sets")
@@ -169,7 +172,7 @@ def build_parser():
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range",
                    help="budgets drawn for qk-personalized when the dataset has none")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("evaluate", help="adversary metrics for a stored partition")
@@ -197,7 +200,7 @@ def build_parser():
     p.add_argument("--idle", type=_checked(int, lambda v: v >= 3, ">= 3"), default=30)
     p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_wtd)
 
     return parser

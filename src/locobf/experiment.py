@@ -69,7 +69,8 @@ def _walk(domain, params, order, walks):
     """The best curve walk, looked up in (and added to) the `walks` cache.
 
     `walks` maps params to the walk partition, or to the infeasibility
-    it raised, which is raised again on every lookup.
+    it raised, which is raised again on every lookup with a fresh
+    traceback, so earlier lookups' frames are not kept alive by it.
     """
     if params not in walks:
         try:
@@ -77,7 +78,7 @@ def _walk(domain, params, order, walks):
         except InfeasibleParamsError as exc:
             walks[params] = exc
     if isinstance(walks[params], InfeasibleParamsError):
-        raise walks[params]
+        raise walks[params].with_traceback(None)
     return walks[params]
 
 
@@ -151,8 +152,12 @@ class SweepConfig:
 
     def __post_init__(self):
         for field in ("eps_values", "em_values", "algorithms", "seeds"):
-            if not getattr(self, field):
+            values = getattr(self, field)
+            if not values:
                 raise ValueError(f"{field} must be non-empty")
+            # a repeated value would write every row of its cells again
+            if len(set(values)) < len(values):
+                raise ValueError(f"{field} repeats a value")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
@@ -199,7 +204,13 @@ def parse_sweep_config(source):
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
     def listed(key, cast):
-        return parsed(key, lambda text: tuple(cast(v) for v in text.split(",")))
+        def parse(text):
+            items = tuple(cast(v) for v in text.split(","))
+            for i, item in enumerate(items):
+                if item in items[:i]:  # numerically: 1 repeats 1.0
+                    raise ValueError(f"repeated value {item!r}")
+            return items
+        return parsed(key, parse)
 
     dataset = values["dataset"][1]
     if dataset.startswith("synth:"):

@@ -203,8 +203,9 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     running sums, masses and budgets of those joins are prefix sums along
     the leading axis of a (depth + 1, groups, n) stack, summed in join
     order as one join at a time sums them. Every fill keeps its leading
-    run of admitted joins; its first refused leftover tries its other
-    clusters nearest-first, and the next pass starts after it. The
+    run of admitted joins; its first refused leftover stays at the head
+    of its queue and tries its next-nearest cluster in the next pass, and
+    after k refusals it stays out and the fill is incomplete. The
     members, the (fills, k, n) sums and the (fills, k) masses and budgets
     are updated in place; assigned marks the first phase's placements.
     """
@@ -217,6 +218,7 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     order = np.lexsort((base[rr, ii].min(axis=1), rr))
     rr, ii = rr[order], ii[order]
     nearest = base[rr, ii].argmin(axis=1)
+    tries = np.zeros_like(rr)  # clusters that refused each leftover so far
     while len(rr):
         group = rr * k + nearest
         by_group = np.argsort(group, kind="stable")
@@ -261,21 +263,16 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
         sums[groups] = run_sums[last]
         mass[groups] = run_mass[last]
         cluster_eps[groups] = run_eps[last]
-        for r, i in zip(rr[cut[cut < ends]].tolist(), ii[cut[cut < ends]].tolist()):
-            for j in np.argsort(base[r, i], kind="stable").tolist()[1:]:
-                g = r * k + j
-                trial = sums[g] + table[i]
-                trial_mass = float(mass[g]) + float(domain.priors[i])
-                trial_eps = min(float(cluster_eps[g]), float(budgets[i]))
-                if _admits(domain, members[r][j] + [i], float(trial.min()), trial_mass,
-                           trial_eps, em):
-                    members[r][j].append(i)
-                    sums[g], mass[g], cluster_eps[g] = trial, trial_mass, trial_eps
-                    break
-            else:
-                complete[r] = False
-        keep = at > np.repeat(cut, ends - starts)
-        rr, ii, nearest = rr[keep], ii[keep], nearest[keep]
+        stuck = cut[cut < ends]
+        if not len(stuck):  # every fill took all its leftovers
+            break
+        tries[stuck] += 1
+        complete[rr[stuck[tries[stuck] == k]]] = False
+        # the next cluster by np.argsort(base[r, i], kind="stable"); unused once all k refused
+        ranked = np.argsort(base[rr[stuck], ii[stuck]], axis=1, kind="stable")
+        nearest[stuck] = ranked[np.arange(len(stuck)), tries[stuck] % k]
+        keep = (at >= np.repeat(cut, ends - starts)) & (tries < k)
+        rr, ii, nearest, tries = rr[keep], ii[keep], nearest[keep], tries[keep]
     return complete
 
 

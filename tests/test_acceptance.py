@@ -25,7 +25,6 @@ from locobf import (
     compute_metrics,
     conditional_error,
     diameter,
-    expected_error,
     hilbert_cell,
     hilbert_rank,
     min_mean_distance,
@@ -275,7 +274,7 @@ def test_matches_brute_force(triangle, two_loc):
                 brute_success_prob(dom, mat.rows, j), rel=1e-12
             )
             mix += marginal[j] * brute
-        assert expected_error(dom, mat) == pytest.approx(mix, rel=1e-12)
+        assert report.exp_err == pytest.approx(mix, rel=1e-12)
 
 
 @pytest.mark.criterion(12, "space-filling walks stay bijective and adjacent")

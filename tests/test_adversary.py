@@ -8,20 +8,17 @@ from locobf import (
     MetricsReport,
     ObfuscationMatrix,
     PrivacyParams,
-    avg_error,
     bayes_attack,
     best_hilbert_partition,
     build_matrix,
     build_matrix_constant,
     compute_metrics,
     conditional_error,
-    expected_error,
     load_metrics,
     optimal_attack,
     posterior,
     quality_loss,
     save_metrics,
-    success_prob,
     synth_domain,
 )
 from reference_impls import brute_avg_error, brute_success_prob
@@ -83,8 +80,8 @@ def test_conditional_error(two_loc):
 
 def test_expected_error(two_loc):
     dom, m = two_loc
-    assert expected_error(dom, m) == pytest.approx(0.25)
-    assert expected_error(dom, ObfuscationMatrix(np.eye(2))) == 0.0
+    assert compute_metrics(dom, m).exp_err == pytest.approx(0.25)
+    assert compute_metrics(dom, ObfuscationMatrix(np.eye(2))).exp_err == 0.0
 
 
 def test_expected_error_is_marginal_mix(line3):
@@ -93,7 +90,7 @@ def test_expected_error_is_marginal_mix(line3):
     mixed = sum(
         marginal[j] * conditional_error(line3, m, j) for j in range(3)
     )
-    assert expected_error(line3, m) == pytest.approx(mixed, abs=1e-9)
+    assert compute_metrics(line3, m).exp_err == pytest.approx(mixed, abs=1e-9)
 
 
 def test_quality_loss(two_loc):
@@ -106,19 +103,19 @@ def test_quality_loss(two_loc):
 
 def test_avg_error(two_loc):
     dom, m = two_loc
-    assert avg_error(dom, m, 0) == pytest.approx(0.0)
-    assert avg_error(dom, m, 1) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        avg_error(dom, m, 5)
+    avg_err = compute_metrics(dom, m).avg_err
+    assert avg_err[0] == pytest.approx(0.0)
+    assert avg_err[1] == pytest.approx(1.0)
 
 
 def test_success_prob(two_loc):
     dom, m = two_loc
-    assert success_prob(dom, m, 0) == pytest.approx(1.0)
-    assert success_prob(dom, m, 1) == pytest.approx(0.0)
-    ident = ObfuscationMatrix(np.eye(2))
-    assert success_prob(dom, ident, 0) == pytest.approx(1.0)
-    assert success_prob(dom, ident, 1) == pytest.approx(1.0)
+    success = compute_metrics(dom, m).success
+    assert success[0] == pytest.approx(1.0)
+    assert success[1] == pytest.approx(0.0)
+    success = compute_metrics(dom, ObfuscationMatrix(np.eye(2))).success
+    assert success[0] == pytest.approx(1.0)
+    assert success[1] == pytest.approx(1.0)
 
 
 def test_expected_error_survives_relabeling():
@@ -128,8 +125,8 @@ def test_expected_error_survives_relabeling():
     perm = rng.permutation(12)
     relabeled = LocationDomain(dom.positions[perm], dom.priors[perm])
     m2 = ObfuscationMatrix(m.rows[np.ix_(perm, perm)])
-    assert expected_error(relabeled, m2) == pytest.approx(
-        expected_error(dom, m), abs=1e-9
+    assert compute_metrics(relabeled, m2).exp_err == pytest.approx(
+        compute_metrics(dom, m).exp_err, abs=1e-9
     )
     assert quality_loss(relabeled, m2) == pytest.approx(
         quality_loss(dom, m), abs=1e-9
@@ -141,7 +138,9 @@ def test_compute_metrics_matches_pointwise():
     part = best_hilbert_partition(dom, PrivacyParams(1.0, 0.1))
     m = build_matrix(dom, part)
     report = compute_metrics(dom, m)
-    assert report.exp_err == pytest.approx(expected_error(dom, m), abs=1e-12)
+    marginal = dom.priors @ m.rows
+    mixed = sum(marginal[j] * conditional_error(dom, m, j) for j in range(30))
+    assert report.exp_err == pytest.approx(mixed, abs=1e-12)
     assert report.qloss == pytest.approx(quality_loss(dom, m), abs=1e-12)
     for j in range(0, 30, 7):
         assert report.cond_err[j] == pytest.approx(
@@ -153,8 +152,6 @@ def test_compute_metrics_matches_pointwise():
         assert report.success[j] == pytest.approx(
             brute_success_prob(dom, m.rows, j), abs=1e-12
         )
-        assert avg_error(dom, m, j) == report.avg_err[j]
-        assert success_prob(dom, m, j) == report.success[j]
 
 
 def test_metrics_roundtrip(two_loc):

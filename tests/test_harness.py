@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from locobf import (
+    InfeasibleParamsError,
     LocationDomain,
     ObfuscationMatrix,
     PrivacyParams,
@@ -22,10 +24,17 @@ from locobf import (
     parse_sweep_config,
     run_sweep,
     save_domain,
+    synth_domain,
     worker_travel_distance,
 )
 from locobf.cli import main
-from locobf.experiment import ALGORITHMS, SWEEP_METRICS, _parse_synth_spec, run_partition
+from locobf.experiment import (
+    ALGORITHMS,
+    SWEEP_METRICS,
+    _parse_synth_spec,
+    _walk,
+    run_partition,
+)
 
 
 @pytest.fixture
@@ -213,6 +222,15 @@ _SWEEP_BASE = (
         (_SWEEP_BASE.replace("synth:n=16", "synth:n=abc"), "line 1: dataset: invalid literal"),
         (_SWEEP_BASE.replace("synth:n=16", "synth:n=16,shape=disc"),
          "line 1: dataset: unknown synth"),
+        (_SWEEP_BASE.replace("eps_values = 0.5", "eps_values = 1.0, 1.0"),
+         "line 2: eps_values: repeated value"),
+        (_SWEEP_BASE.replace("eps_values = 0.5", "eps_values = 1, 0.5, 1.0"),
+         "line 2: eps_values: repeated value"),
+        (_SWEEP_BASE.replace("em_values = 0.05", "em_values = 0.05, 5e-2"),
+         "line 3: em_values: repeated value"),
+        (_SWEEP_BASE.replace("= hilbert", "= hilbert, qk,hilbert"),
+         "line 4: algorithms: repeated value"),
+        (_SWEEP_BASE.replace("seeds = 1", "seeds = 3, 3"), "line 5: seeds: repeated value"),
     ],
 )
 def test_parse_sweep_config_errors(text, fragment):
@@ -318,6 +336,41 @@ def test_sweep_config_rejects_bad_parameters():
     for seeds in ((-3,), (1, -1)):
         with pytest.raises(ValueError, match="seeds must be >= 0"):
             SweepConfig("synth:n=16", (1.0,), (0.05,), ("hilbert",), seeds, "out")
+    for field, config in [
+        ("eps_values", ((1.0, 1), (0.05,), ("hilbert",), (1,))),
+        ("em_values", ((1.0,), (0.0, -0.0), ("hilbert",), (1,))),
+        ("algorithms", ((1.0,), (0.05,), ("qk", "qk"), (1,))),
+        ("seeds", ((1.0,), (0.05,), ("hilbert",), (2, 1, 2))),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} repeats a value"):
+            SweepConfig("synth:n=16", *config, "out")
+
+
+def test_sweep_command_rejects_repeated_values(tmp_path, capsys):
+    """Repeated values would write each of their rows again; the sweep exits 3
+    before it runs and names the key and the line."""
+    config_file = tmp_path / "sweep.cfg"
+    config_file.write_text(
+        "dataset = synth:n=16\neps_values = 1.0, 1.0\nem_values = 0.05\n"
+        "algorithms = hilbert\nseeds = 3, 3\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["sweep", "--config", str(config_file)]) == 3
+    assert "line 2: eps_values: repeated value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cached_infeasible_walk_keeps_a_fresh_traceback():
+    """Every lookup of a cached infeasible walk raises with a traceback of the
+    same length, so no lookup keeps earlier lookups' frames alive."""
+    domain, walks = synth_domain(20, seed=1), {}
+    lengths = []
+    for _ in range(5):
+        with pytest.raises(InfeasibleParamsError) as info:
+            _walk(domain, PrivacyParams(1.0, 50.0), None, walks)
+        lengths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert len(walks) == 1
+    assert len(set(lengths)) == 1, lengths
 
 
 def test_aggregate_cells_is_pure():
@@ -464,6 +517,16 @@ def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
     argv = ["synth", "--n", "20", "--out", str(tmp_path / "x.csv"), flag, value]
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--config", "sweep.cfg"],
+    ["evaluate", "--dataset", "town.csv", "--partition", "part.csv"],
+])
+def test_unseeded_commands_reject_seed(capsys, command):
+    """sweep takes its seeds from the config and evaluate draws nothing."""
+    assert main(command + ["--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

@@ -254,6 +254,46 @@ def test_assign_round_open_cluster_is_infeasible():
     assert not feasible
 
 
+@pytest.mark.parametrize("n, seed, qk_seed", [(28, 4008, 8), (38, 4080, 80)])
+def test_refused_leftovers_match_references(n, seed, qk_seed, monkeypatch):
+    """Fills in which a nearest cluster refuses a leftover, so that it moves
+    on to its next-nearest cluster, equal both references: the members in
+    join order and the feasibility."""
+    dom = synth_domain(n, seed=seed)
+    params = PrivacyParams(2.0, 0.2)
+    stacks = []
+    real_round, real_admits = qkmeans_mod.assign_round, qkmeans_mod._admits
+
+    def recording(domain, centers, *args):
+        stacks.append(centers.copy())
+        return real_round(domain, centers, *args)
+
+    monkeypatch.setattr(qkmeans_mod, "assign_round", recording)
+    qk_partition(dom, params, QkConfig(max_samp=2, seed=qk_seed))
+    monkeypatch.setattr(qkmeans_mod, "assign_round", real_round)
+    refused = []
+
+    def counting(domain, members, low_sum, *args):
+        got = real_admits(domain, members, low_sum, *args)
+        if isinstance(low_sum, np.ndarray):  # the leftover phase's batched joins
+            refused.append(not got.all())
+        return got
+
+    monkeypatch.setattr(qkmeans_mod, "_admits", counting)
+    retried = 0
+    for centers in (c for stack in stacks for c in stack):
+        refused.clear()
+        got = assign_round(dom, centers, params)
+        if not any(refused):
+            continue
+        retried += 1
+        assert got == serial_assign_round(dom, centers, params)
+        want, complete = reference_assign_round(dom, centers, params)
+        assert got[0] == want
+        assert got[1] == (complete and reference_feasible(dom, want, params, False))
+    assert retried > 0
+
+
 def _search_cases():
     """(domain, params, config, k, personalized, weighted) on 66 domains."""
     cases = []

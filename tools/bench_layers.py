@@ -23,7 +23,10 @@ qk_partition/personalized) on budgets from assign_personal_eps(..., 0.5,
 search and the assign_round calls that made them (the lockstep steps,
 where restarts are filled together).
 
-A layer's wall_s is the median of three untraced calls; its peak_mib
+A layer's wall_s is the median of its untraced calls: at least five,
+and more until they add up to half a second, so fast layers at small n
+are not judged on a handful of calls. calls counts them and wall_iqr_s
+is their interquartile range (statistics.quantiles, n=4). Its peak_mib
 is the tracemalloc peak of one more, traced call, and peak_n2 the same
 peak in units of one n x n float64 array.
 """
@@ -46,14 +49,14 @@ QK_SIZES = (50, 200)
 EPS, EM = 1.0, 0.1
 DRAWS = 2000  # single-user sample_pseudo calls per timed run
 WTD_TASKS, WTD_IDLE, WTD_ROUNDS = 1000, 300, 5  # worker_travel_distance rounds per timed run
-REPEATS = 3  # untraced calls per layer
+MIN_CALLS, MIN_WALL_S = 5, 0.5  # untraced calls per layer: at least this many and this long
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _measure(fn):
-    """(median untraced wall seconds, traced peak bytes, result)."""
+    """(untraced wall time entries, traced peak bytes, result)."""
     times = []
-    for _ in range(REPEATS):
+    while len(times) < MIN_CALLS or sum(times) < MIN_WALL_S:
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
@@ -63,7 +66,9 @@ def _measure(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times), peak, result
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    wall = {"wall_s": statistics.median(times), "wall_iqr_s": q3 - q1, "calls": len(times)}
+    return wall, peak, result
 
 
 def run_layers():
@@ -75,9 +80,9 @@ def run_layers():
     layers = {}
 
     def record(layer, n, fn, extra=None):
-        wall, peak, result = _measure(fn)
-        entry = {"wall_s": wall, "peak_mib": peak / 2**20, "peak_n2": peak / (8 * n * n)}
-        entry.update(extra(wall) if extra else {})
+        entry, peak, result = _measure(fn)
+        entry.update(peak_mib=peak / 2**20, peak_n2=peak / (8 * n * n))
+        entry.update(extra(entry["wall_s"]) if extra else {})
         layers.setdefault(layer, {})[str(n)] = entry
         return result
 
@@ -191,7 +196,7 @@ def main(argv=None):
                   f"{WTD_ROUNDS} rounds, idle min({WTD_IDLE}, n), {WTD_TASKS} tasks, "
                   "seeds [n, 2] and [n, 3, round]; qk_partition at n in "
                   f"{QK_SIZES} with QkConfig(), personalized budgets U[0.5, 1.5] seed n",
-        "repeats": REPEATS,
+        "calls": f"untraced calls per layer: at least {MIN_CALLS} and {MIN_WALL_S} s",
         "blas_threads": 1,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
