@@ -56,9 +56,14 @@ def conditional_error(domain, matrix, pseudo_id):
 
 def quality_loss(domain, matrix):
     """Prior-weighted mean distance between true and reported locations."""
-    loss = domain.priors[:, None] * matrix.rows
-    loss *= domain.distances
-    return float(loss.sum())
+    return _quality_loss(domain, matrix.rows, np.empty(matrix.rows.shape))
+
+
+def _quality_loss(domain, rows, out):
+    # quality_loss's floats, with its n x n products written into out
+    np.multiply(domain.priors[:, None], rows, out=out)
+    out *= domain.distances
+    return float(out.sum())
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,8 @@ def compute_metrics(domain, matrix):
     """All adversary metrics in one vectorized pass: the attack table.
 
     At most two n x n arrays are alive at once: the posterior and the
-    attack costs, during their one product. The product stays whole,
+    attack costs, during their one product. The quality loss is summed
+    in the costs' buffer once they are read. The product stays whole,
     because BLAS picks its kernel by shape, and a different kernel can
     move the last bits of cond_err.
     """
@@ -97,9 +103,9 @@ def compute_metrics(domain, matrix):
     del post
     attack = costs.argmin(axis=0)
     cond = costs[attack, np.arange(n)]
-    del costs
     exp_err = float(cond @ marginal)
-    qloss = quality_loss(domain, matrix)
+    qloss = _quality_loss(domain, rows, costs)  # the costs are spent; their buffer is reused
+    del costs
     avg = np.empty(n)
     success = np.empty(n)
     for lo in range(0, n, _BLOCK):

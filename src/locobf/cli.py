@@ -95,7 +95,7 @@ def cmd_partition(args):
     save_partition(part, args.out or sys.stdout)
     sizes = [p.size for p in part.plss]
     summary = (
-        f"k={part.k} avg_diam_km={_csvio.num(weighted_avg_diameter(dom, part.plss))} "
+        f"k={part.k} avg_diam_km={_csvio.num(weighted_avg_diameter(part.plss))} "
         f"min_size={min(sizes)} max_size={max(sizes)}"
     )
     print(summary, file=sys.stdout if args.out else sys.stderr)

@@ -188,8 +188,14 @@ def _floor_or_none(domain, members, within=False):
     mass = weights.sum()
     if not mass > 0:
         return None
-    candidates = np.ix_(idx, idx) if within else (slice(None), idx)
-    return float((domain.distances[candidates] @ weights).min() / mass)
+    if idx.size == domain.n:
+        # every id: a view, not an n x n copy. The table is symmetric, and
+        # distances[:, idx] copies it in column-major order, which .T views;
+        # equal layouts take the same BLAS kernel, so the floats are the copy's
+        table = domain.distances if within else domain.distances.T
+    else:
+        table = domain.distances[np.ix_(idx, idx) if within else (slice(None), idx)]
+    return float((table @ weights).min() / mass)
 
 
 def min_mean_distance(domain, members):
@@ -251,7 +257,12 @@ _SUM_LOW = 2.0 ** -900
 _FLOOR_HIGH = 2.0 ** 900
 
 
-def _admits(domain, members, low_sum, mass, eps_region, em):
+def _margin(n):
+    # the relative margin rtol around the threshold in a domain of n locations
+    return 8.0 * (n + 2) * 2.0 ** -53
+
+
+def _admits(domain, members, low_sum, mass, eps_region, em, record=None):
     """satisfies_error_bound(domain, members, eps_region, em) from running sums.
 
     low_sum is the members' smallest prior-weighted distance sum over
@@ -264,30 +275,54 @@ def _admits(domain, members, low_sum, mass, eps_region, em):
     members, and the answer is a bool array. Each entry is a sure yes, a
     sure no or undecided by the same margin; only the undecided entries
     call members and go to the exact test.
+
+    record, when given, is called once with what decided the answers:
+    record((floor, scale, certified, answer)), scalars or arrays as the
+    call's own arguments. The threshold is scale * em, with scale =
+    math.exp(eps_region). floor is the running floor where the margin
+    decided (certified is true) and the exact floor where the exact test
+    did; it is NaN for a set of zero mass, which no threshold admits.
     """
-    rtol = 8.0 * (domain.n + 2) * 2.0 ** -53
+    rtol = _margin(domain.n)
     if isinstance(low_sum, np.ndarray):
         # the thresholds use math.exp, as the exact test does
-        threshold = np.array([math.exp(e) for e in eps_region.tolist()]) * em
+        scale = np.array([math.exp(e) for e in eps_region.tolist()])
+        threshold = scale * em
         weighed = mass > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             floor = low_sum / mass
         certified = weighed & (_SUM_LOW <= low_sum) & (floor <= _FLOOR_HIGH)
         yes = certified & (floor >= threshold * (1.0 + rtol))
-        no = certified & (floor < threshold * (1.0 - rtol))
-        for t in np.flatnonzero(weighed & ~yes & ~no).tolist():
-            yes[t] = satisfies_error_bound(domain, members(t), float(eps_region[t]), em)
+        certified &= yes | (floor < threshold * (1.0 - rtol))
+        for t in np.flatnonzero(weighed & ~certified).tolist():
+            ids = members(t)
+            yes[t] = satisfies_error_bound(domain, ids, float(eps_region[t]), em)
+            if record is not None:
+                floor[t] = _floor_or_none(domain, ids)
+        if record is not None:
+            floor[~weighed] = math.nan
+            record((floor, scale, certified, yes))
         return yes
     if not mass > 0:
+        if record is not None:
+            record((math.nan, math.exp(eps_region), False, False))
         return False
-    threshold = math.exp(eps_region) * em
+    scale = math.exp(eps_region)
+    threshold = scale * em
     floor = low_sum / mass
-    if _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH:
-        if floor >= threshold * (1.0 + rtol):
-            return True
-        if floor < threshold * (1.0 - rtol):
-            return False
-    return satisfies_error_bound(domain, members, eps_region, em)
+    certified = _SUM_LOW <= low_sum and floor <= _FLOOR_HIGH
+    if certified and floor >= threshold * (1.0 + rtol):
+        answer = True
+    elif certified and floor < threshold * (1.0 - rtol):
+        answer = False
+    else:
+        certified = False
+        answer = satisfies_error_bound(domain, members, eps_region, em)
+        if record is not None:
+            floor = _floor_or_none(domain, members)
+    if record is not None:
+        record((floor, scale, certified, answer))
+    return answer
 
 
 _HEADER = ["id", "x_km", "y_km", "prior"]

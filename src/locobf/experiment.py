@@ -29,7 +29,7 @@ from .mechanism import (
     worker_travel_distance,
 )
 from .partition import best_hilbert_partition, weighted_avg_diameter
-from .qkmeans import QkConfig, qk_partition
+from .qkmeans import QkConfig, _Search
 
 __all__ = [
     "ALGORITHMS",
@@ -82,20 +82,29 @@ def _walk(domain, params, order, walks):
     return walks[params]
 
 
-def _partition(domain, algorithm, params, qk_config, walks, order=None):
-    """The partition one algorithm makes; qk-personalized reads the domain's budgets."""
+def _qk_search(domain, algorithm, config):
+    """The qk search of a qk algorithm (None for the others); it keeps its
+    fills across the params it is asked for, so cells can share them."""
+    if algorithm not in ("qk", "qk-personalized"):
+        return None
+    return _Search(domain, config, algorithm == "qk-personalized", None)
+
+
+def _partition(domain, algorithm, params, search, walks, order=None):
+    """The partition one algorithm makes, the qk ones by their _qk_search;
+    qk-personalized reads the domain's budgets."""
     if algorithm == "hilbert":
         return _walk(domain, params, order, walks)
-    return qk_partition(domain, params, qk_config, personalized=algorithm == "qk-personalized")
+    return search.partition(params)
 
 
-def _release(domain, algorithm, params, seed, walks):
+def _release(domain, algorithm, params, search, walks):
     """(matrix, average set diameter, set count) for any algorithm, baseline included."""
     if algorithm == "em-baseline":
         d_max = max(p.diam for p in _walk(domain, params, None, walks).plss)
         return build_matrix_constant(domain, d_max, params.eps), d_max, 1
-    part = _partition(domain, algorithm, params, QkConfig(seed=seed), walks)
-    return build_matrix(domain, part), weighted_avg_diameter(domain, part.plss), part.k
+    part = _partition(domain, algorithm, params, search, walks)
+    return build_matrix(domain, part), weighted_avg_diameter(part.plss), part.k
 
 
 def run_partition(domain, algorithm, params, seed, order=None, qk_config=None,
@@ -111,8 +120,8 @@ def run_partition(domain, algorithm, params, seed, order=None, qk_config=None,
         raise ValueError(f"algorithm {algorithm!r} does not produce a partition")
     if algorithm == "qk-personalized":
         domain = _personalize(domain, eps_range, seed)
-    config = qk_config or QkConfig(seed=seed)
-    return _partition(domain, algorithm, params, config, {}, order), domain
+    search = _qk_search(domain, algorithm, qk_config or QkConfig(seed=seed))
+    return _partition(domain, algorithm, params, search, {}, order), domain
 
 
 def run_wtd(domain, algorithm, params, seed, tasks=100, idle=30,
@@ -127,7 +136,8 @@ def run_wtd(domain, algorithm, params, seed, tasks=100, idle=30,
     """
     if algorithm == "qk-personalized":
         domain = _personalize(domain, eps_range, seed)
-    matrix = _release(domain, algorithm, params, seed, {})[0]
+    matrix = _release(domain, algorithm, params, _qk_search(domain, algorithm, QkConfig(seed=seed)),
+                      {})[0]
     mins = domain.positions.min(axis=0)
     spans = domain.positions.max(axis=0) - mins
     points = mins + _substream(seed, _PURPOSE_WTD_TASKS).uniform(size=(tasks, 2)) * spans
@@ -247,13 +257,14 @@ def _resolve_domain(dataset, seed):
     return load_domain(dataset)
 
 
-def _run_cell(domain, algorithm, eps, em, seed, walks):
+def _run_cell(domain, algorithm, eps, em, search, walks):
     """Metric dict for one sweep cell, or None when the cell is infeasible.
 
-    `walks` shares curve walks between cells, as in _walk.
+    `search` shares qk fills between the cells of one algorithm and
+    `walks` curve walks between cells, as in _walk.
     """
     try:
-        matrix, avg_diam, num_pls = _release(domain, algorithm, PrivacyParams(eps, em), seed,
+        matrix, avg_diam, num_pls = _release(domain, algorithm, PrivacyParams(eps, em), search,
                                              walks)
     except InfeasibleParamsError:
         return None
@@ -290,7 +301,9 @@ def run_sweep(config, output_dir=None):
     Cells that must give the same result are computed once: hilbert and
     em-baseline cells of one seed share their curve walk, and
     qk-personalized cells that differ only in eps share everything,
-    because per-location budgets replace eps there.
+    because per-location budgets replace eps there. The qk cells of one
+    seed and algorithm share one search, which replays a fill of an
+    earlier cell whenever its admission answers come out the same.
     """
     out_dir = Path(output_dir or config.output_dir)
     cells = []
@@ -302,12 +315,13 @@ def run_sweep(config, output_dir=None):
             personalized = algorithm == "qk-personalized"
             if personalized:
                 domain = _personalize(base, _DEFAULT_EPS_RANGE, seed)
+            search = _qk_search(domain, algorithm, QkConfig(seed=seed))
             done = {}
             for eps in config.eps_values:
                 for em in config.em_values:
                     key = em if personalized else (eps, em)
                     if key not in done:
-                        done[key] = _run_cell(domain, algorithm, eps, em, seed, walks)
+                        done[key] = _run_cell(domain, algorithm, eps, em, search, walks)
                     cells.append((algorithm, eps, em, seed, done[key]))
     long_rows, tables = aggregate_cells(cells)
     out_dir.mkdir(parents=True, exist_ok=True)

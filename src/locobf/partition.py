@@ -110,7 +110,7 @@ class Partition:
             raise ValueError("partition does not cover the domain exactly")
 
 
-def weighted_avg_diameter(domain, plss):
+def weighted_avg_diameter(plss):
     """Mass-weighted mean diameter of the given protection sets."""
     return _mean_diameter([(p.mass, p.diam) for p in plss])
 
@@ -310,7 +310,7 @@ def best_hilbert_partition(domain, params, order=None):
     """
     walks = (partition_on_ordering(domain, ordering, params)
              for ordering in all_rotations(domain, order))
-    best = min(walks, key=lambda part: weighted_avg_diameter(domain, part.plss))
+    best = min(walks, key=lambda part: weighted_avg_diameter(part.plss))
     best.validate(domain)
     return best
 

@@ -11,11 +11,12 @@ minimum over its members.
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _admits
+from .domain import _admits, _margin
 from .mechanism import _choice_cdf
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
@@ -23,6 +24,11 @@ __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partiti
 
 # centers that all move less than this (km) have converged
 _CENTER_TOL = 1e-6
+# a uniform fill's four answer bounds (see _answers), packed: a search keeps thousands
+_BOUNDS = struct.Struct("4d")
+# per kind of answer (certified yes, certified no, exact yes, exact no), which
+# floor lies nearest the threshold
+_NEAREST = (min, max, min, max)
 # floats of leftover rows (n each) per batch of the leftover phase, whose
 # stack holds a few such rows per leftover: a batch of fills holds at most
 # this many plus its last fill's, however many restarts are filled together
@@ -97,7 +103,7 @@ def _weighting(domain, personalized, weighted):
     return personalized if weighted is None else weighted
 
 
-def assign_round(domain, centers, params, personalized=False, weighted=None):
+def assign_round(domain, centers, params, personalized=False, weighted=None, answers=None):
     """One greedy fill of clusters around fixed planar centers.
 
     Returns (families, feasible): a member-id list per cluster in join
@@ -114,7 +120,9 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
 
     centers of shape (k, 2) make one fill; a stack of shape (R, k, 2)
     makes R independent fills and returns a list of R such pairs, each
-    equal to its own single call.
+    equal to its own single call. answers, when a list, receives per
+    fill the admission answers it gave, reduced by _answers to what can
+    change them, so that the fill can be replayed under other parameters.
     """
     weighted = _weighting(domain, personalized, weighted)
     centers = np.asarray(centers, dtype=float)
@@ -139,9 +147,11 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     mismatch = None
     if weighted:
         mismatch = eps_weight(domain.personal_eps[:, None], domain.personal_eps, params.lam)
+    logs = None if answers is None else [[] for _ in range(fills)]
     members, mass, cluster_eps, closed = zip(*(
-        _join_nearest(domain, b, table, s, a, params, prior_of, eps_of, mismatch)
-        for b, s, a in zip(base, sums, assigned)
+        _join_nearest(domain, b, table, s, a, params, prior_of, eps_of, mismatch,
+                      None if logs is None else logs[r])
+        for r, (b, s, a) in enumerate(zip(base, sums, assigned))
     ))
     budgets = domain.personal_eps if personalized else np.full(n, params.eps)
     mass, cluster_eps = np.array(mass), np.array(cluster_eps)
@@ -151,16 +161,21 @@ def assign_round(domain, centers, params, personalized=False, weighted=None):
     cuts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist() + [fills]
     placed = np.concatenate([
         _place_leftovers(domain, base[lo:hi], table, members[lo:hi], sums[lo:hi], mass[lo:hi],
-                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em)
+                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em,
+                         None if logs is None else logs[lo:hi])
         for lo, hi in zip(cuts, cuts[1:])
     ])
+    if answers is not None:
+        answers.extend(_answers(log, personalized) for log in logs)
     results = [(family, bool(c and p)) for family, c, p in zip(members, closed, placed)]
     return results[0] if centers.ndim == 2 else results
 
 
-def _join_nearest(domain, base, table, sums, assigned, params, prior_of, eps_of, mismatch):
+def _join_nearest(domain, base, table, sums, assigned, params, prior_of, eps_of, mismatch,
+                  log):
     """The first phase of one fill, filling sums and assigned in place;
-    mismatch holds the budget weights when they apply, else None.
+    mismatch holds the budget weights when they apply, else None, and
+    log, when given, receives every admission decision (see _admits).
 
     Returns (families, masses, budgets, whether every cluster closed).
     """
@@ -186,14 +201,16 @@ def _join_nearest(domain, base, table, sums, assigned, params, prior_of, eps_of,
                 live[:, j] = base[:, j] * mismatch[i]
                 live[assigned, j] = np.inf
         if len(members[j]) >= 2 and _admits(
-            domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em
+            domain, members[j], float(sums[j].min()), mass[j], cluster_eps[j], em,
+            None if log is None else log.append
         ):
             live[:, j] = np.inf
             closed += 1
     return members, mass, cluster_eps, closed == k
 
 
-def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assigned, budgets, em):
+def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assigned, budgets, em,
+                     logs):
     """The second phase of every fill at once; per fill, whether every leftover found a cluster.
 
     Leftovers remain only once every cluster of their fill is closed;
@@ -208,6 +225,8 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     after k refusals it stays out and the fill is incomplete. The
     members, the (fills, k, n) sums and the (fills, k) masses and budgets
     are updated in place; assigned marks the first phase's placements.
+    logs, when given, holds a list per fill that receives the decisions
+    its joins depend on: the taken ones and the refusal that ends them.
     """
     fills, n, k = base.shape
     sums = sums.reshape(fills * k, n)
@@ -247,8 +266,10 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
             joined = ii[by_group[heads[c]:heads[c] + depth[t]]]
             return members[rr[t]][nearest[t]] + joined.tolist()
 
+        decided = []
         admitted = _admits(domain, trial_members, run_sums.min(axis=2)[depth, col],
-                           run_mass[depth, col], run_eps[depth, col], em)
+                           run_mass[depth, col], run_eps[depth, col], em,
+                           None if logs is None else decided.extend)
         # each fill's entries are contiguous; cut is its first refused one, or its end
         starts = np.flatnonzero(np.diff(rr, prepend=-1))
         ends = np.append(starts[1:], len(rr))
@@ -256,6 +277,10 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
         cut = np.minimum(refused[np.searchsorted(refused, starts)], ends)
         at = np.arange(len(rr))
         taken = at < np.repeat(cut, ends - starts)
+        if logs is not None:  # the entries after a refusal were never asked for
+            used = at <= np.repeat(cut, ends - starts)
+            for r, *d in zip(rr[used].tolist(), *(a[used].tolist() for a in decided)):
+                logs[r].append(d)
         for r, j, i in zip(rr[taken].tolist(), nearest[taken].tolist(), ii[taken].tolist()):
             members[r][j].append(i)
         # a group's taken joins lead its entries, so its state is the prefix sum after them
@@ -302,7 +327,160 @@ def _next_centers(domain, centers, families):
     return nxt, np.linalg.norm(nxt - centers, axis=2).max(axis=1)
 
 
-def _search_k(domain, params, config, k, personalized, weighted):
+def _answers(log, personalized):
+    """The admission answers of one fill, reduced to what can change them.
+
+    A fill depends on (eps, em) only through these answers: given the
+    same answers it joins the same locations in the same order. log
+    holds what decided each answer, as domain._admits gives it to its
+    recorder: (floor, scale, certified, answer). At another threshold an
+    answer comes out the same when the expressions _admits evaluates
+    give it again: a certified yes when floor >= threshold * (1 + rtol),
+    a certified no when floor < threshold * (1 - rtol), an exact answer
+    when floor >= threshold says the same. A set of zero mass is refused
+    at every threshold, so it is not kept.
+
+    Answers of one kind at one threshold all hold when the floor nearest
+    the threshold holds, so only that floor is kept: the smallest for a
+    yes, the largest for a no. In uniform mode every threshold is
+    math.exp(eps) * em, and the result is the four floors, packed by
+    _BOUNDS in the order certified yes, certified no, exact yes, exact
+    no. With per-location budgets a threshold is scale * em for the
+    set's scale = math.exp(eps_S), and eps does not enter: the result is
+    the bytes of a (2, m) array of floors over scales, one column per
+    kind and scale in that kind order, and where each kind after the
+    first begins.
+    """
+    kinds = ([], [], [], [])  # certified yes, certified no, exact yes, exact no
+    for floor, scale, certified, answer in log:
+        if floor == floor:  # not NaN, the floor of a set of zero mass
+            kinds[2 * (not certified) + (not answer)].append((floor, scale))
+    if not personalized:
+        return _BOUNDS.pack(*(pick((f for f, _ in kind), default=bound) for kind, pick, bound in
+                              zip(kinds, _NEAREST, (math.inf, -math.inf, math.inf, -math.inf))))
+    nearest = [{}, {}, {}, {}]  # per kind: scale -> the floor nearest its threshold
+    for kind, pick, held in zip(kinds, _NEAREST, nearest):
+        for floor, scale in kind:
+            held[scale] = pick(held.get(scale, floor), floor)
+    pairs = [(f, scale) for held in nearest for scale, f in held.items()]
+    return (np.array(pairs).reshape(-1, 2).T.tobytes(),
+            tuple(itertools.accumulate(len(held) for held in nearest[:3])))
+
+
+class _Search:
+    """The qk search on one domain, keeping its fills across parameters.
+
+    Built from (domain, config, personalized, weighted), as qk_partition
+    takes them; partition(params) is qk_partition's result for params.
+    Between calls it keeps each k's seeded centers, every cluster's
+    (mass, diameter) and one record per fill made, so a later call
+    replays a fill whose admission answers all come out the same under
+    its params (see _answers) instead of filling again. The budget
+    weight's lam changes the fill itself, so fills are kept per lam.
+    """
+
+    def __init__(self, domain, config, personalized, weighted):
+        self.weighted = _weighting(domain, personalized, weighted)
+        if domain.n < 2:
+            raise ValueError("partitioning needs at least 2 locations")
+        self.domain, self.config, self.personalized = domain, config, personalized
+        self.rtol = _margin(domain.n)
+        self.id_type = np.min_scalar_type(domain.n)  # of the ids and sizes in packed families
+        self.starts = {}  # k -> every restart's seeded centers, as bytes
+        self.known = {}  # sorted members -> (mass, diameter)
+        # lam (None without the weight) -> centers bytes -> records of the fills made from
+        # them: (answers, _packed family or None when infeasible, w, next centers bytes
+        # or None once the centers moved less than _CENTER_TOL)
+        self.fills = {}
+
+    def partition(self, params):
+        """Search k = 1, 2, ... as qk_partition does, under params."""
+        domain, personalized = self.domain, self.personalized
+        whole_eps = float(domain.personal_eps.min()) if personalized else params.eps
+        require_feasible(domain, whole_eps, params.em)
+
+        everyone = list(domain.ids)
+        accepted = [everyone]
+        accepted_w = _sets_wad(domain, [everyone])
+        k = 2
+        while k <= domain.n // 2:
+            family, w = _search_k(self, params, k)
+            if family is None or w > accepted_w:
+                break
+            accepted, accepted_w = family, w
+            k += 1
+
+        plss = tuple(
+            Pls.build(domain, f, float(domain.personal_eps[f].min()) if personalized else params.eps)
+            for f in accepted
+        )
+        mode = "personalized" if personalized else "uniform"
+        if personalized and not self.weighted:
+            mode += ",unweighted"
+        part = Partition(
+            plss, params, f"qk(seed={self.config.seed},k={len(plss)},{mode})"
+        )
+        part.validate(domain)
+        return part
+
+    def agree(self, answers, params):
+        """Whether every answer of a fill (see _answers) comes out the same under params."""
+        rtol = self.rtol
+        if not self.personalized:
+            threshold = math.exp(params.eps) * params.em
+            yes, no, exact_yes, exact_no = _BOUNDS.unpack(answers)
+            return (yes >= threshold * (1.0 + rtol) and no < threshold * (1.0 - rtol)
+                    and exact_yes >= threshold > exact_no)
+        pairs, (a, b, c) = answers
+        floor, scale = np.frombuffer(pairs).reshape(2, -1)
+        threshold = scale * params.em
+        return bool((floor[:a] >= threshold[:a] * (1.0 + rtol)).all()
+                    and (floor[a:b] < threshold[a:b] * (1.0 - rtol)).all()
+                    and (floor[b:c] >= threshold[b:c]).all()
+                    and (floor[c:] < threshold[c:]).all())
+
+    def fill(self, keys, k, params):
+        """The record of the fill from each centers bytes under params,
+        replayed when one agrees and made otherwise."""
+        fills = self.fills.setdefault(params.lam if self.weighted else None, {})
+        records = [next((f for f in fills.get(key, ()) if self.agree(f[0], params)), None)
+                   for key in keys]
+        missing = [key for key, record in zip(keys, records) if record is None]
+        if missing:
+            stack = np.frombuffer(b"".join(missing)).reshape(-1, k, 2)
+            answers = []
+            rounds = assign_round(self.domain, stack, params, self.personalized, self.weighted,
+                                  answers)
+            families = [family for family, _ in rounds]
+            nxt, moved = _next_centers(self.domain, stack, families)
+            made = {}
+            for key, (family, feasible), a, c, m in zip(missing, rounds, answers, nxt,
+                                                        moved.tolist()):
+                c = c.tobytes() if m >= _CENTER_TOL else None  # converged centers stop here
+                if feasible:
+                    w = _sets_wad(self.domain, family, self.known)
+                    made[key] = (a, _packed(family, self.id_type), w, c)
+                else:
+                    made[key] = (a, None, math.inf, c)
+                fills[key] = fills.get(key, ()) + (made[key],)
+            records = [record or made[key] for key, record in zip(keys, records)]
+        return records
+
+
+def _packed(family, dtype):
+    # a family as bytes of dtype: its cluster sizes, then every member in join order
+    return np.array([len(f) for f in family] + [i for f in family for i in f],
+                    dtype=dtype).tobytes()
+
+
+def _unpacked(packed, k, dtype):
+    # the k member lists of a _packed family, in join order
+    values = np.frombuffer(packed, dtype=dtype).tolist()
+    ids = iter(values[k:])
+    return [list(itertools.islice(ids, size)) for size in values[:k]]
+
+
+def _search_k(search, params, k):
     """Best feasible family over restarts and center iterations, with its
     weighted mean diameter; (None, inf) when no round is feasible.
 
@@ -310,56 +488,42 @@ def _search_k(domain, params, config, k, personalized, weighted):
     already filled for this k (a restart meeting an earlier one, or
     centers cycling without converging) replays the recorded move
     instead of filling again. A replay cannot change the best family:
-    its weighted mean diameter was already compared once. Most clusters
-    recur from round to round, so their masses and diameters are kept.
+    its weighted mean diameter was already compared once.
 
     All restarts move forward together: at each iteration every distinct
     pending set of centers is filled in one assign_round call. The
     restarts are then walked one after another through the recorded
     moves, so the best family, its ties and each restart's stop are
-    those of filling the restarts in turn.
+    those of filling the restarts in turn. Centers are held as their
+    bytes throughout.
     """
-    moves = {}  # centers bytes -> (next centers, largest center move, weighted mean diameter)
-    known = {}  # sorted members -> (mass, diameter)
-    lowest, lowest_w = {}, math.inf  # centers bytes -> family, for the fills at the lowest w
-    starts = [seed_centers(domain, k, np.random.default_rng([config.seed, k, restart]))
-              for restart in range(config.max_samp)]
-    live = starts
+    config = search.config
+    moves = {}  # centers bytes -> the record of its fill under params (see _Search)
+    if k not in search.starts:
+        search.starts[k] = [
+            seed_centers(search.domain, k, np.random.default_rng([config.seed, k, restart]))
+            .tobytes() for restart in range(config.max_samp)
+        ]
+    starts = live = search.starts[k]
     for _ in range(config.max_iter):
-        pending = {}
-        for centers in live:
-            key = centers.tobytes()
-            if key not in moves:
-                pending.setdefault(key, centers)
-        if pending:
-            stack = np.array(list(pending.values()))
-            rounds = assign_round(domain, stack, params, personalized, weighted)
-            families = [family for family, _ in rounds]
-            nxt, moved = _next_centers(domain, stack, families)
-            for key, (family, feasible), c, m in zip(pending, rounds, nxt, moved.tolist()):
-                w = math.inf
-                if feasible:
-                    w = _sets_wad(domain, family, known)
-                    if w < lowest_w:
-                        lowest, lowest_w = {}, w
-                    if w == lowest_w:
-                        lowest[key] = family
-                moves[key] = (c, m, w)
-        live = [nxt for nxt, moved, _ in map(moves.get, (c.tobytes() for c in live))
-                if moved >= _CENTER_TOL]
+        pending = [key for key in dict.fromkeys(live) if key not in moves]
+        moves.update(zip(pending, search.fill(pending, k, params)))
+        live = [nxt for _, _, _, nxt in map(moves.get, live) if nxt is not None]
         if not live:
             break
 
     best_key, best_w = None, math.inf
-    for centers in starts:
+    for key in starts:
         for _ in range(config.max_iter):
-            key = centers.tobytes()
-            centers, moved, w = moves[key]
+            _, _, w, nxt = moves[key]
             if w < best_w:
                 best_key, best_w = key, w
-            if moved < _CENTER_TOL:
+            if nxt is None:
                 break
-    return lowest.get(best_key), best_w
+            key = nxt
+    if best_key is None:
+        return None, best_w
+    return _unpacked(moves[best_key][1], k, search.id_type), best_w
 
 
 def qk_partition(domain, params, config=None, personalized=False, weighted=None):
@@ -371,34 +535,4 @@ def qk_partition(domain, params, config=None, personalized=False, weighted=None)
     budget for the feasibility of the whole domain is the minimum
     per-location budget when personalized, the uniform one otherwise.
     """
-    if config is None:
-        config = QkConfig()
-    weighted = _weighting(domain, personalized, weighted)
-    if domain.n < 2:
-        raise ValueError("partitioning needs at least 2 locations")
-    whole_eps = float(domain.personal_eps.min()) if personalized else params.eps
-    require_feasible(domain, whole_eps, params.em)
-
-    everyone = list(domain.ids)
-    accepted = [everyone]
-    accepted_w = _sets_wad(domain, [everyone])
-    k = 2
-    while k <= domain.n // 2:
-        family, w = _search_k(domain, params, config, k, personalized, weighted)
-        if family is None or w > accepted_w:
-            break
-        accepted, accepted_w = family, w
-        k += 1
-
-    plss = tuple(
-        Pls.build(domain, f, float(domain.personal_eps[f].min()) if personalized else params.eps)
-        for f in accepted
-    )
-    mode = "personalized" if personalized else "uniform"
-    if personalized and not weighted:
-        mode += ",unweighted"
-    part = Partition(
-        plss, params, f"qk(seed={config.seed},k={len(plss)},{mode})"
-    )
-    part.validate(domain)
-    return part
+    return _Search(domain, config or QkConfig(), personalized, weighted).partition(params)

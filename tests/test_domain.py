@@ -83,6 +83,20 @@ def test_restricted_never_below_unrestricted():
         assert diameter(dom, ids) == pytest.approx(brute_diameter(dom, ids), rel=1e-12)
 
 
+def test_whole_domain_floor_matches_the_indexed_table():
+    """With every id the floors read the distance table itself and give the
+    floats of the indexed copies they replace."""
+    for n, seed in ((2, 0), (50, 1), (300, 2), (1000, 3)):
+        dom = synth_domain(n, seed=seed, grid_side=64)
+        idx = np.arange(n)
+        weights = dom.priors[idx]
+        mass = weights.sum()
+        assert min_mean_distance(dom, dom.ids) == float(
+            (dom.distances[:, idx] @ weights).min() / mass)
+        assert min_mean_distance_within(dom, dom.ids) == float(
+            (dom.distances[np.ix_(idx, idx)] @ weights).min() / mass)
+
+
 def test_satisfies_error_bound():
     pair = LocationDomain([(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])
     assert satisfies_error_bound(pair, [0, 1], 5.0, 0.0)

@@ -22,6 +22,7 @@ from locobf import (
     load_metrics,
     load_partition,
     parse_sweep_config,
+    qk_partition,
     run_sweep,
     save_domain,
     synth_domain,
@@ -321,6 +322,48 @@ def test_run_sweep_computes_shared_cells_once(tmp_path, monkeypatch):
         for em in ("0.05", "50"):
             personal = [shared[("qk-personalized", eps, em, "1", metric)] for eps in ("0.5", "1")]
             assert personal[0] == personal[1]
+
+
+@pytest.mark.parametrize("algorithm, weighted", [
+    ("qk", None), ("qk-personalized", None), ("qk-personalized", False),
+])
+def test_sweep_cells_share_qk_fills(tmp_path, monkeypatch, algorithm, weighted):
+    """The qk cells of one seed and algorithm share one search. Every
+    cell's partition equals a fresh qk_partition, while the search both
+    replays fills of earlier cells and refuses fills whose admission
+    answers flip at the cell's thresholds. The thresholds fall as well
+    as rise from cell to cell, so refused answers can flip to admitted
+    ones too; weighted=False runs the personalized cells without the
+    budget weight."""
+    import locobf.experiment as experiment
+    import locobf.qkmeans as qkmeans
+
+    agreed = []
+    cells = []  # (search, params, partition) per computed cell
+
+    class Recording(qkmeans._Search):
+        def __init__(self, domain, config, personalized, _):
+            super().__init__(domain, config, personalized, weighted)
+
+        def agree(self, answers, params):
+            agreed.append(super().agree(answers, params))
+            return agreed[-1]
+
+        def partition(self, params):
+            cells.append((self, params, super().partition(params)))
+            return cells[-1][2]
+
+    monkeypatch.setattr(experiment, "_Search", Recording)
+    config = SweepConfig(
+        dataset="synth:n=30", eps_values=(1.0, 0.5), em_values=(0.4, 0.4 * (1 + 1e-9), 0.25, 0.5),
+        algorithms=(algorithm,), seeds=(1, 2), output_dir=str(tmp_path / "sweep"),
+    )
+    run_sweep(config)
+    assert len({id(search) for search, _, _ in cells}) == len(config.seeds)
+    for search, params, part in cells:
+        assert part == qk_partition(search.domain, params, search.config,
+                                    search.personalized, weighted)
+    assert True in agreed and False in agreed
 
 
 def test_sweep_config_rejects_bad_parameters():

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,12 +54,12 @@ def test_pls_build():
 def test_weighted_avg_diameter():
     dom = pair_domain(2.0, 10.0, 4.0)
     one = (Pls.build(dom, [0, 1], 1.0),)
-    assert weighted_avg_diameter(dom, one) == pytest.approx(2.0)
+    assert weighted_avg_diameter(one) == pytest.approx(2.0)
     both = (Pls.build(dom, [0, 1], 1.0), Pls.build(dom, [2, 3], 1.0))
-    assert weighted_avg_diameter(dom, both) == pytest.approx(3.0)
+    assert weighted_avg_diameter(both) == pytest.approx(3.0)
     skewed = pair_domain(4.0, 10.0, 2.0, masses=(0.125, 0.125, 0.375, 0.375))
     sets = (Pls.build(skewed, [0, 1], 1.0), Pls.build(skewed, [2, 3], 1.0))
-    assert weighted_avg_diameter(skewed, sets) == pytest.approx(0.25 * 4 + 0.75 * 2)
+    assert weighted_avg_diameter(sets) == pytest.approx(0.25 * 4 + 0.75 * 2)
 
 
 def test_partition_validate_catches_corruption():
@@ -190,8 +191,8 @@ def test_best_hilbert_never_worse_than_any_rotation():
             single = partition_on_ordering(dom, ordering, params)
             single.validate(dom)
             assert (
-                weighted_avg_diameter(dom, best.plss)
-                <= weighted_avg_diameter(dom, single.plss) + 1e-12
+                weighted_avg_diameter(best.plss)
+                <= weighted_avg_diameter(single.plss) + 1e-12
             )
 
 
@@ -201,14 +202,28 @@ def test_best_hilbert_propagates_infeasibility():
         best_hilbert_partition(dom, PrivacyParams(1.0, 10.0))
 
 
+def test_curve_walk_peaks_below_one_distance_table():
+    """The walk's whole-domain floor tests read the distance table in place,
+    so at n = 1000 it peaks below 0.2 n x n float64 arrays (a copy is one)."""
+    n = 1000
+    dom = synth_domain(n, seed=[n, 0], grid_side=45)
+    tracemalloc.start()
+    try:
+        best_hilbert_partition(dom, PrivacyParams(1.0, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 8 * n * n
+
+
 def test_partitioners_admit_exactly(monkeypatch):
     """Every running-floor decision of both partitioners equals the exact test,
     the qk leftover phase's batched decisions included."""
     agree = []
     batched = []
 
-    def checked(domain, members, low_sum, mass, eps_region, em):
-        got = _admits(domain, members, low_sum, mass, eps_region, em)
+    def checked(domain, members, low_sum, mass, eps_region, em, record=None):
+        got = _admits(domain, members, low_sum, mass, eps_region, em, record)
         if isinstance(low_sum, np.ndarray):
             for t, (verdict, eps) in enumerate(zip(got.tolist(), eps_region.tolist())):
                 batched.append(verdict == satisfies_error_bound(domain, members(t), eps, em))

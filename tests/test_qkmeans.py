@@ -131,7 +131,7 @@ def test_qk_partition_line(line6):
     part = qk_partition(line6, PrivacyParams(0.1, 0.4), QkConfig(seed=0))
     assert part.k == 3
     assert sorted(p.members for p in part.plss) == [(0, 1), (2, 3), (4, 5)]
-    assert weighted_avg_diameter(line6, part.plss) == pytest.approx(1.0)
+    assert weighted_avg_diameter(part.plss) == pytest.approx(1.0)
     assert part.provenance.startswith("qk(")
 
 
@@ -331,7 +331,8 @@ def test_search_k_matches_serial(monkeypatch):
     for dom, params, config, k, personalized, weighted in _search_cases():
         batches.clear()
         rounds = []
-        got = qkmeans_mod._search_k(dom, params, config, k, personalized, weighted)
+        got = qkmeans_mod._search_k(qkmeans_mod._Search(dom, config, personalized, weighted),
+                                    params, k)
         assert got == serial_search_k(dom, params, config, k, personalized, weighted, rounds)
         fills = {key: fill for _, key, fill in rounds if fill is not None}
         assert {c.tobytes(): (f, ok) for stack, got in batches

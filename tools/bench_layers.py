@@ -21,7 +21,10 @@ same domain at the same eps and em, uniform and (as
 qk_partition/personalized) on budgets from assign_personal_eps(..., 0.5,
 1.5, seed=n); besides its time and peak it counts the fills of one
 search and the assign_round calls that made them (the lockstep steps,
-where restarts are filled together).
+where restarts are filled together). The sweep layer is end to end:
+run_sweep on the README's sweep config at config seed 1 (n = 50, eps
+0.5/1/2, em 0.05/0.1, all four algorithms), the input of perfbench's
+readme-sweep, with the same fill counts over the whole sweep.
 
 A layer's wall_s is the median of its untraced calls: at least five,
 and more until they add up to half a second, so fast layers at small n
@@ -39,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -51,6 +55,15 @@ DRAWS = 2000  # single-user sample_pseudo calls per timed run
 WTD_TASKS, WTD_IDLE, WTD_ROUNDS = 1000, 300, 5  # worker_travel_distance rounds per timed run
 MIN_CALLS, MIN_WALL_S = 5, 0.5  # untraced calls per layer: at least this many and this long
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SWEEP_N = 50  # the README sweep's domain size
+SWEEP_CONFIG = """\
+dataset     = synth:n=50,grid_side=16
+eps_values  = 0.5, 1.0, 2.0
+em_values   = 0.05, 0.1
+algorithms  = hilbert, qk, qk-personalized, em-baseline
+seeds       = 1
+output_dir  = {output_dir}
+"""
 
 
 def _measure(fn):
@@ -125,6 +138,14 @@ def run_layers():
                                        personalized=personalized)
 
             record(layer, n, search, lambda wall: _count_fills(search))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG.format(output_dir=Path(tmp) / "results"))
+
+        def sweep():
+            return lb.run_sweep(lb.parse_sweep_config(config))
+
+        record("sweep", SWEEP_N, sweep, lambda wall: _count_fills(sweep))
     return layers
 
 
@@ -195,7 +216,8 @@ def main(argv=None):
                   f"eps={EPS}, em={EM}; sample_pseudo seed [n, 1]; worker_travel_distance "
                   f"{WTD_ROUNDS} rounds, idle min({WTD_IDLE}, n), {WTD_TASKS} tasks, "
                   "seeds [n, 2] and [n, 3, round]; qk_partition at n in "
-                  f"{QK_SIZES} with QkConfig(), personalized budgets U[0.5, 1.5] seed n",
+                  f"{QK_SIZES} with QkConfig(), personalized budgets U[0.5, 1.5] seed n; "
+                  "sweep: the README sweep config at config seed 1",
         "calls": f"untraced calls per layer: at least {MIN_CALLS} and {MIN_WALL_S} s",
         "blas_threads": 1,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
