@@ -24,11 +24,9 @@ __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partiti
 
 # centers that all move less than this (km) have converged
 _CENTER_TOL = 1e-6
-# a uniform fill's four answer bounds (see _answers), packed: a search keeps thousands
+# a uniform fill's four answer bounds (see _answers), kept as float64 bytes, since a
+# search keeps thousands
 _BOUNDS = struct.Struct("4d")
-# per kind of answer (certified yes, certified no, exact yes, exact no), which
-# floor lies nearest the threshold
-_NEAREST = (min, max, min, max)
 # floats of leftover rows (n each) per batch of the leftover phase, whose
 # stack holds a few such rows per leftover: a batch of fills holds at most
 # this many plus its last fill's, however many restarts are filled together
@@ -147,7 +145,13 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
     mismatch = None
     if weighted:
         mismatch = eps_weight(domain.personal_eps[:, None], domain.personal_eps, params.lam)
+    # the decisions of every fill: phase 1's per fill, the leftover phase's as arrays
     logs = None if answers is None else [[] for _ in range(fills)]
+    later = []
+
+    def record_later(lo):
+        return None if logs is None else lambda d: later.append((d[0] + lo, *d[1:]))
+
     members, mass, cluster_eps, closed = zip(*(
         _join_nearest(domain, b, table, s, a, params, prior_of, eps_of, mismatch,
                       None if logs is None else logs[r])
@@ -161,12 +165,13 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
     cuts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist() + [fills]
     placed = np.concatenate([
         _place_leftovers(domain, base[lo:hi], table, members[lo:hi], sums[lo:hi], mass[lo:hi],
-                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em,
-                         None if logs is None else logs[lo:hi])
+                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em, record_later(lo))
         for lo, hi in zip(cuts, cuts[1:])
     ])
     if answers is not None:
-        answers.extend(_answers(log, personalized) for log in logs)
+        first = np.array([d for log in logs for d in log]).reshape(-1, 4).T
+        later.append((np.repeat(np.arange(fills), [len(log) for log in logs]), *first))
+        answers.extend(_answers(*map(np.concatenate, zip(*later)), fills, personalized))
     results = [(family, bool(c and p)) for family, c, p in zip(members, closed, placed)]
     return results[0] if centers.ndim == 2 else results
 
@@ -210,7 +215,7 @@ def _join_nearest(domain, base, table, sums, assigned, params, prior_of, eps_of,
 
 
 def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assigned, budgets, em,
-                     logs):
+                     record):
     """The second phase of every fill at once; per fill, whether every leftover found a cluster.
 
     Leftovers remain only once every cluster of their fill is closed;
@@ -225,8 +230,10 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     after k refusals it stays out and the fill is incomplete. The
     members, the (fills, k, n) sums and the (fills, k) masses and budgets
     are updated in place; assigned marks the first phase's placements.
-    logs, when given, holds a list per fill that receives the decisions
-    its joins depend on: the taken ones and the refusal that ends them.
+    record, when given, is called once per pass with the decisions the
+    joins depend on, the taken ones and each refusal that ends them: the
+    tuple (fill, floor, scale, certified, answer) of arrays, floor to
+    answer as domain._admits gives them.
     """
     fills, n, k = base.shape
     sums = sums.reshape(fills * k, n)
@@ -269,7 +276,7 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
         decided = []
         admitted = _admits(domain, trial_members, run_sums.min(axis=2)[depth, col],
                            run_mass[depth, col], run_eps[depth, col], em,
-                           None if logs is None else decided.extend)
+                           None if record is None else decided.extend)
         # each fill's entries are contiguous; cut is its first refused one, or its end
         starts = np.flatnonzero(np.diff(rr, prepend=-1))
         ends = np.append(starts[1:], len(rr))
@@ -277,10 +284,9 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
         cut = np.minimum(refused[np.searchsorted(refused, starts)], ends)
         at = np.arange(len(rr))
         taken = at < np.repeat(cut, ends - starts)
-        if logs is not None:  # the entries after a refusal were never asked for
+        if record is not None:  # the entries after a refusal were never asked for
             used = at <= np.repeat(cut, ends - starts)
-            for r, *d in zip(rr[used].tolist(), *(a[used].tolist() for a in decided)):
-                logs[r].append(d)
+            record((rr[used], *(a[used] for a in decided)))
         for r, j, i in zip(rr[taken].tolist(), nearest[taken].tolist(), ii[taken].tolist()):
             members[r][j].append(i)
         # a group's taken joins lead its entries, so its state is the prefix sum after them
@@ -327,44 +333,50 @@ def _next_centers(domain, centers, families):
     return nxt, np.linalg.norm(nxt - centers, axis=2).max(axis=1)
 
 
-def _answers(log, personalized):
-    """The admission answers of one fill, reduced to what can change them.
+def _answers(fill, floor, scale, certified, answer, fills, personalized):
+    """Per fill of one assign_round call, its admission answers reduced to
+    what can change them.
 
     A fill depends on (eps, em) only through these answers: given the
-    same answers it joins the same locations in the same order. log
-    holds what decided each answer, as domain._admits gives it to its
-    recorder: (floor, scale, certified, answer). At another threshold an
-    answer comes out the same when the expressions _admits evaluates
-    give it again: a certified yes when floor >= threshold * (1 + rtol),
-    a certified no when floor < threshold * (1 - rtol), an exact answer
-    when floor >= threshold says the same. A set of zero mass is refused
-    at every threshold, so it is not kept.
+    same answers it joins the same locations in the same order. The
+    arrays hold one entry per decision of the call: its fill, and what
+    decided its answer as domain._admits gives it to its recorder. At
+    another threshold an answer comes out the same when the expressions
+    _admits evaluates give it again: a certified yes when floor >=
+    threshold * (1 + rtol), a certified no when floor < threshold *
+    (1 - rtol), an exact answer when floor >= threshold says the same. A
+    set of zero mass is refused at every threshold, so it is not kept.
 
     Answers of one kind at one threshold all hold when the floor nearest
     the threshold holds, so only that floor is kept: the smallest for a
     yes, the largest for a no. In uniform mode every threshold is
-    math.exp(eps) * em, and the result is the four floors, packed by
-    _BOUNDS in the order certified yes, certified no, exact yes, exact
-    no. With per-location budgets a threshold is scale * em for the
-    set's scale = math.exp(eps_S), and eps does not enter: the result is
-    the bytes of a (2, m) array of floors over scales, one column per
-    kind and scale in that kind order, and where each kind after the
-    first begins.
+    math.exp(eps) * em, and a fill's result is its four floors as
+    _BOUNDS bytes, in the order certified yes, certified no, exact yes,
+    exact no. With per-location budgets a threshold is scale * em for
+    the set's scale = math.exp(eps_S), and eps does not enter: a fill's
+    result is the bytes of a (2, m) array of floors over scales, one
+    column per kind and scale in that kind order, and where each kind
+    after the first begins.
     """
-    kinds = ([], [], [], [])  # certified yes, certified no, exact yes, exact no
-    for floor, scale, certified, answer in log:
-        if floor == floor:  # not NaN, the floor of a set of zero mass
-            kinds[2 * (not certified) + (not answer)].append((floor, scale))
+    keep = floor == floor  # not NaN, the floor of a set of zero mass
+    fill, floor = fill[keep].astype(np.intp), floor[keep]
+    kind = 2 * (certified[keep] == 0) + (answer[keep] == 0)
+    scale = scale[keep] if personalized else np.zeros_like(floor)
+    # each (fill, kind, scale) group's floor nearest the threshold first, then keep the firsts
+    order = np.lexsort((np.where(kind % 2, -floor, floor), scale, kind, fill))
+    fill, kind, scale, floor = fill[order], kind[order], scale[order], floor[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(fill) != 0) | (np.diff(kind) != 0) | (scale[1:] != scale[:-1])
+    fill, kind, scale, floor = fill[first], kind[first], scale[first], floor[first]
     if not personalized:
-        return _BOUNDS.pack(*(pick((f for f, _ in kind), default=bound) for kind, pick, bound in
-                              zip(kinds, _NEAREST, (math.inf, -math.inf, math.inf, -math.inf))))
-    nearest = [{}, {}, {}, {}]  # per kind: scale -> the floor nearest its threshold
-    for kind, pick, held in zip(kinds, _NEAREST, nearest):
-        for floor, scale in kind:
-            held[scale] = pick(held.get(scale, floor), floor)
-    pairs = [(f, scale) for held in nearest for scale, f in held.items()]
-    return (np.array(pairs).reshape(-1, 2).T.tobytes(),
-            tuple(itertools.accumulate(len(held) for held in nearest[:3])))
+        bounds = np.tile([math.inf, -math.inf, math.inf, -math.inf], (fills, 1))
+        bounds[fill, kind] = floor
+        return [row.tobytes() for row in bounds]
+    counts = np.bincount(fill * 4 + kind, minlength=4 * fills).reshape(fills, 4)
+    pairs = np.array([floor, scale])
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    return [(pairs[:, a:b].tobytes(), tuple(itertools.accumulate(c[:3])))
+            for a, b, c in zip([0] + ends, ends, counts.tolist())]
 
 
 class _Search:
@@ -411,7 +423,8 @@ class _Search:
             k += 1
 
         plss = tuple(
-            Pls.build(domain, f, float(domain.personal_eps[f].min()) if personalized else params.eps)
+            Pls.build(domain, f,
+                      float(domain.personal_eps[f].min()) if personalized else params.eps)
             for f in accepted
         )
         mode = "personalized" if personalized else "uniform"

@@ -177,12 +177,21 @@ def test_running_floor_test_is_exact(monkeypatch):
                 assert _admits(dom, members, low_sum, mass, eps, em) == want
                 if math.exp(eps) * em == floor or dom is tiny:
                     assert len(fallbacks) == before + 1
+                # the recorder gets the floor that decided: the running one, or the exact one
+                recorded = []
+                assert _admits(dom, members, low_sum, mass, eps, em, recorded.append) == want
+                exact = len(fallbacks) > before + 1
+                assert recorded == [(floor if exact else low_sum / mass, math.exp(eps),
+                                     not exact, want)]
     assert ties >= len(cases) // 2
     for em in (0.0, 0.1):
         low_sum, mass = _running_floor_sum(zero, [0, 1])
         assert mass == 0.0
         assert _admits(zero, [0, 1], low_sum, mass, 1.0, em) is False
         assert not satisfies_error_bound(zero, [0, 1], 1.0, em)
+        recorded = []
+        assert _admits(zero, [0, 1], low_sum, mass, 1.0, em, recorded.append) is False
+        assert math.isnan(recorded[0][0]) and recorded[0][2:] == (False, False)
 
 
 def test_running_floor_array_form(monkeypatch):
@@ -210,6 +219,20 @@ def test_running_floor_array_form(monkeypatch):
             assert got.dtype == bool
             assert got.tolist() == [satisfies_error_bound(dom, cases[c][1], cases[c][2], em)
                                     for c in same]
+            recorded = []
+            _admits(dom, lambda t: cases[same[t]][1], np.array([sums[c][0] for c in same]),
+                    np.array([sums[c][1] for c in same]), np.array([cases[c][2] for c in same]),
+                    em, recorded.append)
+            floor, scale, certified, answer = recorded[0]
+            assert answer.tolist() == got.tolist()
+            assert scale.tolist() == [math.exp(cases[c][2]) for c in same]
+            for t, c in enumerate(same):
+                if dom is zero:
+                    assert math.isnan(floor[t]) and not certified[t]
+                elif t in asked:
+                    assert not certified[t] and floor[t] == min_mean_distance(dom, cases[c][1])
+                else:
+                    assert certified[t] and floor[t] == sums[c][0] / sums[c][1]
             monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
             scalar_fallbacks = []
             for t, c in enumerate(same):
