@@ -28,6 +28,7 @@ __all__ = [
 
 def posterior(domain, matrix, pseudo_id):
     """Posterior over true locations given one observed pseudo-location."""
+    matrix._require_domain(domain)
     if not 0 <= pseudo_id < matrix.n:
         raise ValueError(f"unknown pseudo-location id {pseudo_id}")
     weighted = domain.priors * matrix.rows[:, pseudo_id]
@@ -56,6 +57,7 @@ def conditional_error(domain, matrix, pseudo_id):
 
 def quality_loss(domain, matrix):
     """Prior-weighted mean distance between true and reported locations."""
+    matrix._require_domain(domain)
     return _quality_loss(domain, matrix.rows, np.empty(matrix.rows.shape))
 
 
@@ -79,12 +81,42 @@ class MetricsReport:
     NAMES = ("exp_err", "qloss", "cond_err", "avg_err", "success")
 
 
-# rows per block of the per-true-location reductions; a block's temporaries are O(block * n)
+# rows per block of the row scans and per-true-location reductions; a block's
+# temporaries are O(block * n)
 _BLOCK = 256
+
+
+def _first_rows(table, target):
+    """Per column j, the lowest row i with table[i, j] == target[j].
+
+    With target a column's max (or min) this is argmax's (or argmin's)
+    answer, lowest id on ties, read along the rows of a row-major table
+    instead of through the transposed copy an axis-0 argmax makes.
+    """
+    n = len(target)
+    first = np.full(n, len(table))
+    for lo in range(0, len(table), _BLOCK):
+        i, j = np.divmod(np.flatnonzero(table[lo:lo + _BLOCK] == target), n)
+        np.minimum.at(first, j, i + lo)
+    return first
 
 
 def compute_metrics(domain, matrix):
     """All adversary metrics in one vectorized pass: the attack table.
+
+    Every n x n table is read along its rows. The posterior mode and the
+    optimal attack are the first row that reaches the column's
+    np.maximum.reduce or np.minimum.reduce over axis 0, which is what
+    argmax and argmin over axis 0 return, without their transposed
+    copies. No NaN can reach these reductions: the priors, the rows and
+    the distances are finite and non-negative and every marginal is
+    positive, so a product can overflow only to inf, which compares
+    equal to itself. avg_err reads row block distances[lo:hi] at the
+    attacked ids, the floats of distances[attack, lo:hi].T because the
+    table is exactly symmetric. success adds each mode's own columns;
+    where a row is the mode of 3 or more columns, the order of the
+    additions matters, so it sums that row whole, as the masked row sum
+    it replaces did.
 
     At most two n x n arrays are alive at once: the posterior and the
     attack costs, during their one product. The quality loss is summed
@@ -92,28 +124,31 @@ def compute_metrics(domain, matrix):
     because BLAS picks its kernel by shape, and a different kernel can
     move the last bits of cond_err.
     """
+    matrix._require_domain(domain)
     rows, n = matrix.rows, matrix.n
     post = domain.priors[:, None] * rows
     marginal = post.sum(axis=0)
     if (marginal <= 0).any():
         raise ValueError("some pseudo-location is never reported; posterior undefined")
     post /= marginal
-    mode = post.argmax(axis=0)
+    mode = _first_rows(post, np.maximum.reduce(post, axis=0))
     costs = domain.distances @ post
     del post
-    attack = costs.argmin(axis=0)
-    cond = costs[attack, np.arange(n)]
+    cond = np.minimum.reduce(costs, axis=0)
+    attack = _first_rows(costs, cond)
     exp_err = float(cond @ marginal)
     qloss = _quality_loss(domain, rows, costs)  # the costs are spent; their buffer is reused
     del costs
     avg = np.empty(n)
-    success = np.empty(n)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        block = rows[lo:hi]
-        avg[lo:hi] = (block * domain.distances[attack, lo:hi].T).sum(axis=1)
-        hit = mode[None, :] == np.arange(lo, hi)[:, None]
-        success[lo:hi] = (block * hit).sum(axis=1)
+        avg[lo:hi] = (rows[lo:hi] * domain.distances[lo:hi].take(attack, axis=1)).sum(axis=1)
+    # one or two non-zero terms among zeros sum to the same float in any order
+    success = np.bincount(mode, weights=rows[mode, np.arange(n)], minlength=n)
+    crowded = np.flatnonzero(np.bincount(mode, minlength=n) >= 3)
+    for lo in range(0, len(crowded), _BLOCK):
+        ids = crowded[lo:lo + _BLOCK]
+        success[ids] = (rows[ids] * (mode == ids[:, None])).sum(axis=1)
     return MetricsReport(exp_err, qloss, cond, avg, success)
 
 

@@ -55,24 +55,33 @@ class InfeasibleParamsError(ValueError):
         )
 
 
-# rows per block of the distance fill; a block's temporaries are O(block * n)
+# rows per block of the distance fill, and the side of its mirrored tiles
 _BLOCK = 128
 
 
 def _pairwise_distances(positions):
     """n x n Euclidean distances, filled a row block at a time.
 
-    Each block holds one n-wide temporary besides its slice of the
-    result; np.hypot per element gives the same floats as one
-    whole-matrix call.
+    The table is exactly symmetric: the differences for (j, i) are the
+    negated differences for (i, j), both correctly rounded, and hypot of
+    negated arguments is the same float. So each row block runs hypot
+    only from its diagonal tile rightwards, and the tiles right of the
+    diagonal are mirrored into the column strip below it, one
+    _BLOCK x _BLOCK tile at a time, so that each copy reads and writes
+    cache-sized pieces. A block's temporaries are O(block * n), and
+    np.hypot per element gives the same floats as one whole-matrix call.
     """
     xs, ys = positions[:, 0], positions[:, 1]
-    out = np.empty((len(positions), len(positions)))
+    n = len(positions)
+    out = np.empty((n, n))
     with np.errstate(over="ignore"):
-        for lo in range(0, len(positions), _BLOCK):
-            block = out[lo:lo + _BLOCK]
-            np.subtract(xs[lo:lo + _BLOCK, None], xs[None, :], out=block)
-            np.hypot(block, ys[lo:lo + _BLOCK, None] - ys[None, :], out=block)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            block = out[lo:hi, lo:]
+            np.subtract(xs[lo:hi, None], xs[None, lo:], out=block)
+            np.hypot(block, ys[lo:hi, None] - ys[None, lo:], out=block)
+            for right in range(hi, n, _BLOCK):
+                out[right:right + _BLOCK, lo:hi] = out[lo:hi, right:right + _BLOCK].T
     return out
 
 
@@ -188,13 +197,16 @@ def _floor_or_none(domain, members, within=False):
     mass = weights.sum()
     if not mass > 0:
         return None
-    if idx.size == domain.n:
-        # every id: a view, not an n x n copy. The table is symmetric, and
-        # distances[:, idx] copies it in column-major order, which .T views;
-        # equal layouts take the same BLAS kernel, so the floats are the copy's
-        table = domain.distances if within else domain.distances.T
+    # The table is exactly symmetric (see _pairwise_distances), so the
+    # candidates' columns distances[:, idx] are distances[idx].T: the same
+    # floats in the same column-major layout that fancy indexing gives the
+    # column gather, so BLAS takes the same kernel, while the row gather
+    # reads whole rows. With every id the table is read in place.
+    whole = idx.size == domain.n
+    if within:
+        table = domain.distances if whole else domain.distances[np.ix_(idx, idx)]
     else:
-        table = domain.distances[np.ix_(idx, idx) if within else (slice(None), idx)]
+        table = (domain.distances if whole else domain.distances[idx]).T
     return float((table @ weights).min() / mass)
 
 

@@ -82,12 +82,13 @@ def _walk(domain, params, order, walks):
     return walks[params]
 
 
-def _qk_search(domain, algorithm, config):
-    """The qk search of a qk algorithm (None for the others); it keeps its
-    fills across the params it is asked for, so cells can share them."""
+def _qk_search(domain, algorithm, config, keep=False):
+    """The qk search of a qk algorithm (None for the others); with keep it
+    keeps its fills across the params it is asked for, so cells can share
+    them."""
     if algorithm not in ("qk", "qk-personalized"):
         return None
-    return _Search(domain, config, algorithm == "qk-personalized", None)
+    return _Search(domain, config, algorithm == "qk-personalized", None, keep)
 
 
 def _partition(domain, algorithm, params, search, walks, order=None):
@@ -315,7 +316,7 @@ def run_sweep(config, output_dir=None):
             personalized = algorithm == "qk-personalized"
             if personalized:
                 domain = _personalize(base, _DEFAULT_EPS_RANGE, seed)
-            search = _qk_search(domain, algorithm, QkConfig(seed=seed))
+            search = _qk_search(domain, algorithm, QkConfig(seed=seed), keep=True)
             done = {}
             for eps in config.eps_values:
                 for em in config.em_values:

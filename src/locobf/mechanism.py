@@ -71,6 +71,11 @@ class ObfuscationMatrix:
     def n(self):
         return self.rows.shape[0]
 
+    def _require_domain(self, domain):
+        # a matrix sized for another domain would index or broadcast against the wrong ids
+        if self.n != domain.n:
+            raise ValueError(f"matrix has {self.n} locations but the domain has {domain.n}")
+
     def _cdf(self, true_id):
         cdf = self._cdfs.get(true_id)
         if cdf is None:
@@ -168,6 +173,7 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
     independent, so one worker may serve several. Draws read the row
     CDFs the matrix keeps, as sample_pseudo does.
     """
+    matrix._require_domain(domain)
     tasks = np.atleast_2d(np.asarray(tasks, dtype=float))
     if tasks.shape[1] != 2:
         raise ValueError("tasks must be planar positions")

@@ -384,14 +384,16 @@ class _Search:
 
     Built from (domain, config, personalized, weighted), as qk_partition
     takes them; partition(params) is qk_partition's result for params.
-    Between calls it keeps each k's seeded centers, every cluster's
-    (mass, diameter) and one record per fill made, so a later call
-    replays a fill whose admission answers all come out the same under
-    its params (see _answers) instead of filling again. The budget
-    weight's lam changes the fill itself, so fills are kept per lam.
+    Between calls it keeps each k's seeded centers and every cluster's
+    (mass, diameter). With keep set it also keeps one record per fill
+    made, so a later call replays a fill whose admission answers all come
+    out the same under its params (see _answers) instead of filling
+    again. The budget weight's lam changes the fill itself, so fills are
+    kept per lam. A search asked once leaves keep unset: its fills are
+    keyed by k, and the keys of different k never meet.
     """
 
-    def __init__(self, domain, config, personalized, weighted):
+    def __init__(self, domain, config, personalized, weighted, keep=False):
         self.weighted = _weighting(domain, personalized, weighted)
         if domain.n < 2:
             raise ValueError("partitioning needs at least 2 locations")
@@ -402,8 +404,8 @@ class _Search:
         self.known = {}  # sorted members -> (mass, diameter)
         # lam (None without the weight) -> centers bytes -> records of the fills made from
         # them: (answers, _packed family or None when infeasible, w, next centers bytes
-        # or None once the centers moved less than _CENTER_TOL)
-        self.fills = {}
+        # or None once the centers moved less than _CENTER_TOL); None without keep
+        self.fills = {} if keep else None
 
     def partition(self, params):
         """Search k = 1, 2, ... as qk_partition does, under params."""
@@ -455,15 +457,17 @@ class _Search:
     def fill(self, keys, k, params):
         """The record of the fill from each centers bytes under params,
         replayed when one agrees and made otherwise."""
-        fills = self.fills.setdefault(params.lam if self.weighted else None, {})
+        keep = self.fills is not None
+        fills = self.fills.setdefault(params.lam if self.weighted else None, {}) if keep else {}
         records = [next((f for f in fills.get(key, ()) if self.agree(f[0], params)), None)
                    for key in keys]
         missing = [key for key, record in zip(keys, records) if record is None]
         if missing:
             stack = np.frombuffer(b"".join(missing)).reshape(-1, k, 2)
-            answers = []
+            answers = [] if keep else None
             rounds = assign_round(self.domain, stack, params, self.personalized, self.weighted,
                                   answers)
+            answers = answers or [None] * len(missing)
             families = [family for family, _ in rounds]
             nxt, moved = _next_centers(self.domain, stack, families)
             made = {}

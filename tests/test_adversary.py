@@ -101,6 +101,17 @@ def test_quality_loss(two_loc):
     assert quality_loss(dom, flat) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("metric", [
+    compute_metrics, quality_loss,
+    lambda dom, m: posterior(dom, m, 0), lambda dom, m: conditional_error(dom, m, 0),
+], ids=["compute_metrics", "quality_loss", "posterior", "conditional_error"])
+def test_metrics_reject_a_matrix_of_another_domain(metric):
+    dom = synth_domain(7, seed=1)
+    for n in (6, 8):
+        with pytest.raises(ValueError, match=f"matrix has {n} locations but the domain has 7"):
+            metric(dom, build_matrix_constant(synth_domain(n, seed=2), 2.0, 1.0))
+
+
 def test_avg_error(two_loc):
     dom, m = two_loc
     avg_err = compute_metrics(dom, m).avg_err

@@ -24,6 +24,7 @@ from reference_impls import (
     brute_diameter,
     brute_min_mean_distance,
     brute_min_mean_distance_within,
+    reference_distances,
 )
 
 
@@ -84,17 +85,36 @@ def test_restricted_never_below_unrestricted():
 
 
 def test_whole_domain_floor_matches_the_indexed_table():
-    """With every id the floors read the distance table itself and give the
-    floats of the indexed copies they replace."""
-    for n, seed in ((2, 0), (50, 1), (300, 2), (1000, 3)):
+    """The floors read the distance table itself (every id) or its member
+    rows (a proper subset) and give the floats of the indexed column
+    copies they replace."""
+    rng = np.random.default_rng(7)
+    for n, seed in ((2, 0), (3, 4), (50, 1), (300, 2), (1000, 3)):
         dom = synth_domain(n, seed=seed, grid_side=64)
-        idx = np.arange(n)
-        weights = dom.priors[idx]
-        mass = weights.sum()
-        assert min_mean_distance(dom, dom.ids) == float(
-            (dom.distances[:, idx] @ weights).min() / mass)
-        assert min_mean_distance_within(dom, dom.ids) == float(
-            (dom.distances[np.ix_(idx, idx)] @ weights).min() / mass)
+        subsets = [np.arange(n)] + [
+            np.sort(rng.choice(n, size=size, replace=False))
+            for size in rng.integers(1, n, size=20).tolist()]
+        for idx in subsets:
+            weights = dom.priors[idx]
+            mass = weights.sum()
+            assert min_mean_distance(dom, idx) == float(
+                (dom.distances[:, idx] @ weights).min() / mass)
+            assert min_mean_distance_within(dom, idx) == float(
+                (dom.distances[np.ix_(idx, idx)] @ weights).min() / mass)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
+def test_distances_are_symmetric_and_match_reference(n):
+    """The upper triangle is computed and mirrored: the table equals its
+    transpose and one whole-matrix hypot, across the 128-row tiles."""
+    rng = np.random.default_rng(n)
+    grid = rng.integers(0, 40, size=(n, 2)) + 0.5
+    off_grid = rng.uniform(-50.0, 50.0, size=(n, 2))
+    far = rng.uniform(-3.0, 3.0, size=(n, 2)) + rng.choice([-1e6, 1e6], size=(n, 1))
+    for positions in (grid, off_grid, far):
+        dom = LocationDomain(positions, np.ones(n))
+        assert np.array_equal(dom.distances, dom.distances.T)
+        assert np.array_equal(dom.distances, reference_distances(dom.positions))
 
 
 def test_satisfies_error_bound():

@@ -35,6 +35,7 @@ from locobf.experiment import (
     _parse_synth_spec,
     _walk,
     run_partition,
+    run_wtd,
 )
 
 
@@ -342,8 +343,8 @@ def test_sweep_cells_share_qk_fills(tmp_path, monkeypatch, algorithm, weighted):
     cells = []  # (search, params, partition) per computed cell
 
     class Recording(qkmeans._Search):
-        def __init__(self, domain, config, personalized, _):
-            super().__init__(domain, config, personalized, weighted)
+        def __init__(self, domain, config, personalized, _, keep):
+            super().__init__(domain, config, personalized, weighted, keep)
 
         def agree(self, answers, params):
             agreed.append(super().agree(answers, params))
@@ -364,6 +365,27 @@ def test_sweep_cells_share_qk_fills(tmp_path, monkeypatch, algorithm, weighted):
         assert part == qk_partition(search.domain, params, search.config,
                                     search.personalized, weighted)
     assert True in agreed and False in agreed
+
+
+def test_one_shot_qk_searches_record_no_answers(monkeypatch):
+    """qk_partition, run_partition and run_wtd ask their search once, and
+    the fills of different k never meet, so no fill records its admission
+    answers; only the sweep's shared search does (see above)."""
+    import locobf.qkmeans as qkmeans
+
+    asked = []
+    real = qkmeans.assign_round
+
+    def recording(*args):
+        asked.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(qkmeans, "assign_round", recording)
+    dom, params = synth_domain(30, seed=1), PrivacyParams(1.0, 0.1)
+    qk_partition(dom, params)
+    run_partition(dom, "qk", params, seed=1)
+    run_wtd(dom, "qk-personalized", params, seed=1, tasks=10, idle=5)
+    assert asked and all(answers is None for answers in asked)
 
 
 def test_sweep_config_rejects_bad_parameters():

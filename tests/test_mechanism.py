@@ -250,6 +250,15 @@ def test_sampler_rechecks_rows_broken_through_the_base(broken):
         worker_travel_distance(dom, m, [[0.0, 0.0]], 3, np.random.default_rng(0))
 
 
+def test_worker_travel_distance_rejects_a_matrix_of_another_domain():
+    # a smaller matrix used to give a score for some rng seeds and an IndexError for others
+    dom = synth_domain(70, seed=1)
+    matrix = build_matrix_constant(synth_domain(60, seed=1), 2.0, 1.0)
+    for seed in range(20):
+        with pytest.raises(ValueError, match="matrix has 60 locations but the domain has 70"):
+            worker_travel_distance(dom, matrix, [[0.0, 0.0]], 30, np.random.default_rng(seed))
+
+
 def _release_matrices(dom, params):
     mats = [ObfuscationMatrix(np.eye(dom.n)), build_matrix_constant(dom, 2.0, 1.0)]
     try:

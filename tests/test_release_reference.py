@@ -14,6 +14,7 @@ import pytest
 
 from locobf import (
     LocationDomain,
+    ObfuscationMatrix,
     Partition,
     Pls,
     PrivacyParams,
@@ -42,20 +43,42 @@ def _assert_release_matches(dom, eps, em):
     ]
     for matrix, want_rows in matrices:
         assert np.array_equal(matrix.rows, want_rows)
-        report = compute_metrics(dom, matrix)
-        exp_err, qloss, cond, avg, success = reference_compute_metrics(dom, want_rows)
-        assert report.exp_err == exp_err
-        assert report.qloss == qloss
-        for got, want in ((report.cond_err, cond), (report.avg_err, avg),
-                          (report.success, success)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        _assert_metrics_match(dom, matrix)
     return part
+
+
+def _assert_metrics_match(dom, matrix):
+    report = compute_metrics(dom, matrix)
+    exp_err, qloss, cond, avg, success = reference_compute_metrics(dom, matrix.rows)
+    assert report.exp_err == exp_err
+    assert report.qloss == qloss
+    for got, want in ((report.cond_err, cond), (report.avg_err, avg),
+                      (report.success, success)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 50, 255, 256, 257, 777])
 def test_release_path_matches_reference(n):
     side = max(16, int(np.ceil(np.sqrt(2 * n))))
     _assert_release_matches(synth_domain(n, seed=[n, 9], grid_side=side), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 255, 256, 257, 600])
+def test_metrics_match_reference_on_ties(n):
+    """Equal posteriors and equal attack costs, so the mode and the attack
+    are decided by the lowest-id rule, in and across the 256-row blocks,
+    and rows that are the mode of one, two and many columns."""
+    rng = np.random.default_rng(n)
+    side = max(2, int(np.sqrt(n)) // 2)  # about four locations per grid point
+    dom = LocationDomain(rng.integers(0, side, size=(n, 2)), np.ones(n))
+    modes = []
+    for matrix in [build_matrix_constant(dom, d, 1.0) for d in (0.5, 3.0, 1e3)] + [
+            ObfuscationMatrix(np.full((n, n), 1.0 / n))]:
+        _assert_metrics_match(dom, matrix)
+        post = dom.priors[:, None] * matrix.rows
+        modes.append(np.bincount((post / post.sum(axis=0)).argmax(axis=0), minlength=n))
+    counts = set(np.concatenate(modes).tolist())
+    assert n in counts and (n < 255 or {1, 2, 3} <= counts)
 
 
 def test_off_grid_domain_matches_reference():
