@@ -384,13 +384,14 @@ class _Search:
 
     Built from (domain, config, personalized, weighted), as qk_partition
     takes them; partition(params) is qk_partition's result for params.
-    Between calls it keeps each k's seeded centers and every cluster's
-    (mass, diameter). With keep set it also keeps one record per fill
-    made, so a later call replays a fill whose admission answers all come
-    out the same under its params (see _answers) instead of filling
-    again. The budget weight's lam changes the fill itself, so fills are
-    kept per lam. A search asked once leaves keep unset: its fills are
-    keyed by k, and the keys of different k never meet.
+    With keep set, it keeps between calls each k's seeded centers, every
+    cluster's (mass, diameter) and one record per fill made, so a later
+    call replays a fill whose admission answers all come out the same
+    under its params (see _answers) instead of filling again. The budget
+    weight's lam changes the fill itself, so fills are kept per lam. A
+    search asked once leaves keep unset: its fills are keyed by k, the
+    keys of different k never meet, so it keeps no fill records and
+    keeps cluster geometry for one k at a time.
     """
 
     def __init__(self, domain, config, personalized, weighted, keep=False):
@@ -419,6 +420,8 @@ class _Search:
         k = 2
         while k <= domain.n // 2:
             family, w = _search_k(self, params, k)
+            if self.fills is None:  # asked once, so no later call meets this k's clusters
+                self.known.clear()
             if family is None or w > accepted_w:
                 break
             accepted, accepted_w = family, w
