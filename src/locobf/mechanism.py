@@ -30,6 +30,8 @@ _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # to zero or a subnormal. The cap never moves two exponents farther apart,
 # so the in-set log-ratio bound still holds.
 _EXP_FLOOR = -690.0
+# tasks per worker_travel_distance distance table, so the table stays in cache
+_TASK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -190,23 +192,60 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
     cdfs = [matrix._cdf(w) for w in idle.tolist()]
     u = rng.random(len(idle)).tolist()
     reported = domain.positions[[cdf.searchsorted(x, side="right") for cdf, x in zip(cdfs, u)]]
-    dx = reported[:, 0] - tasks[:, :1]
-    dy = reported[:, 1] - tasks[:, 1:]
-    # tasks x idle workers; the same floats as np.linalg.norm over each (dx, dy)
-    by_report = np.sqrt(dx * dx + dy * dy)
-    # the three nearest by (distance, worker id); idle is sorted, so id order is column order
-    third = np.partition(by_report, 2, axis=1)[:, 2:3]
-    closer = by_report < third
-    tied = by_report == third
-    chosen = closer | (tied & (tied.cumsum(axis=1) <= 3 - closer.sum(axis=1, keepdims=True)))
-    picks = np.nonzero(chosen)[1].reshape(-1, 3)
-    order = np.argsort(np.take_along_axis(by_report, picks, axis=1), axis=1, kind="stable")
-    picks = np.take_along_axis(picks, order, axis=1)
-    off = domain.positions[idle[picks]] - tasks[:, None, :]
-    to_task = np.sqrt(off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1])
+    rx, ry = reported.T.copy()
+    picks = np.empty((len(tasks), 3), dtype=np.intp)
+    # one (block x idle) table and its scratch, reused by every block of tasks
+    dist = np.empty((min(len(tasks), _TASK_BLOCK), len(idle)))
+    dy = np.empty_like(dist)
+    # idle is sorted, so column order is worker id order; a far task's squares
+    # overflow to inf, and _nearest_three still picks its three workers by that rule
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(tasks), _TASK_BLOCK):
+            block = tasks[lo:lo + _TASK_BLOCK]
+            picks[lo:lo + len(block)] = _nearest_three(rx, ry, block, dist[:len(block)],
+                                                       dy[:len(block)])
+        off = domain.positions[idle[picks]] - tasks[:, None, :]
+        to_task = np.sqrt(off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1])
     # summed in chosen order, as a three-element mean() sums
     totals = (to_task[:, 0] + to_task[:, 1] + to_task[:, 2]) / 3
     return float(np.mean(totals))
+
+
+def _report_distances(rx, ry, block, dist, dy):
+    # tasks x reports into dist: the floats of np.linalg.norm over each (dx, dy)
+    np.subtract(rx, block[:, :1], out=dist)
+    dist *= dist
+    np.subtract(ry, block[:, 1:], out=dy)
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    return dist
+
+
+def _nearest_three(rx, ry, block, dist, dy):
+    """Columns of the three reports nearest each task, nearest first.
+
+    Nearness is by (distance, column): the column order is the worker id
+    order. Each argmin pass takes the nearest remaining report, which
+    argmin breaks to the lowest column, and masks it with inf. Once a
+    pass's minimum is inf the masks are indistinguishable from the rest,
+    so those rows (all reports but at most two out of float range) are
+    ranked by a stable sort of their distances instead.
+    """
+    _report_distances(rx, ry, block, dist, dy)
+    rows = np.arange(len(block))
+    picks = np.empty((len(block), 3), dtype=np.intp)
+    for k in range(3):
+        picks[:, k] = dist.argmin(axis=1)
+        if k < 2:
+            dist[rows, picks[:, k]] = np.inf
+    # the minima only grow pass by pass, so a finite third one clears all three
+    far = np.flatnonzero(dist[rows, picks[:, 2]] == np.inf)
+    if far.size:
+        again = _report_distances(rx, ry, block[far], np.empty((far.size, len(rx))),
+                                  np.empty((far.size, len(rx))))
+        picks[far] = np.argsort(again, axis=1, kind="stable")[:, :3]
+    return picks
 
 
 def save_matrix(matrix, stream):

@@ -21,6 +21,7 @@ from locobf import (
     synth_domain,
     worker_travel_distance,
 )
+from locobf.mechanism import _TASK_BLOCK
 from reference_impls import reference_sample_pseudo, reference_worker_travel_distance
 
 
@@ -394,3 +395,39 @@ def test_wtd_breaks_equal_distances_by_worker_id():
         for idle_count in (3, 4, 5):
             _assert_same_wtd(dom, ident, task, idle_count, seed)
             _assert_same_wtd(dom, build_matrix_constant(dom, 4.0, 1.0), task, idle_count, seed)
+
+
+def test_wtd_equals_the_per_task_loop_across_task_blocks():
+    dom = synth_domain(60, seed=4, grid_side=10)
+    mats = _release_matrices(dom, PrivacyParams(1.0, 0.2))
+    for count in (1, _TASK_BLOCK - 1, _TASK_BLOCK, _TASK_BLOCK + 1, 1000):
+        tasks = _grid_tasks(np.random.default_rng(count), 10, count)
+        for mi, m in enumerate(mats):
+            for idle_count in (3, 31, dom.n):
+                _assert_same_wtd(dom, m, tasks, idle_count, [count, mi, idle_count])
+
+
+def test_wtd_picks_far_tasks_by_worker_id():
+    """Reports whose squared distance overflows are inf, tied, and ranked by worker id."""
+    # ids 0..7 near the origin, 8..11 on a line 1e200 km away
+    near = [(float(i % 4), float(i // 4)) for i in range(8)]
+    dom = LocationDomain(near + [(1e200, float(k)) for k in range(4)], [1.0] * 12)
+    away = np.zeros((12, 12))
+    away[np.arange(12), 8 + np.arange(12) % 4] = 1.0
+    # every worker reports far away; then all but one or two of them do
+    one_near, two_near = away.copy(), away.copy()
+    one_near[5] = np.eye(12)[3]
+    two_near[[2, 6]] = np.eye(12)[[0, 7]]
+    tasks = np.vstack([_grid_tasks(np.random.default_rng(5), 3, 30),
+                       [(1e200, 0.5), (-1e200, 0.0), (0.5, 1e200), (-1e200, -1e200)]])
+    with np.errstate(over="ignore"):
+        for rows in (away, one_near, two_near):
+            m = ObfuscationMatrix(rows)
+            for idle_count in (3, 4, 7, 12):
+                for seed in range(15):
+                    _assert_same_wtd(dom, m, tasks[:30], idle_count, [idle_count, seed])
+                    _assert_same_wtd(dom, m, tasks, idle_count, [idle_count, seed])
+        # the three lowest ids serve a task every report is out of range of
+        got = worker_travel_distance(dom, ObfuscationMatrix(away), [(0.0, 0.0)], 12,
+                                     np.random.default_rng(0))
+    assert got == (0.0 + 1.0 + 2.0) / 3
