@@ -53,12 +53,11 @@ class Pls:
             raise ValueError("a protection set lists a location twice")
         if not 0 < eps_region < math.inf:
             raise ValueError("eps_region must be finite and > 0")
-        return Pls(
-            members,
-            diameter(domain, members),
-            prior_mass(domain, members),
-            float(eps_region),
-        )
+        if members[0] < 0 or members[-1] >= domain.n:
+            bad = members[0] if members[0] < 0 else members[-1]
+            raise ValueError(f"unknown location id {bad}")
+        mass, diam = _geometry(domain, np.array(members))
+        return Pls(members, diam, mass, float(eps_region))
 
     @property
     def size(self):
@@ -126,6 +125,12 @@ def _mean_diameter(geometry):
     return float(sum(m * d for m, d in geometry) / total)
 
 
+def _geometry(domain, idx):
+    # (mass, diameter) of sorted, distinct, known ids: the floats of prior_mass and diameter
+    diam = float(domain.distances[idx[:, None], idx].max()) if len(idx) > 1 else 0.0
+    return float(domain.priors[idx].sum()), diam
+
+
 def _sets_wad(domain, sets, known=None):
     # weighted average diameter for raw id-lists (no Pls construction);
     # `known` keeps each set's (mass, diameter) by sorted members across calls
@@ -135,10 +140,8 @@ def _sets_wad(domain, sets, known=None):
     for s in sets:
         key = tuple(sorted(s))
         if key not in known:
-            # the floats of prior_mass and diameter; the callers' ids are distinct and valid
-            idx = np.array(key)
-            diam = float(domain.distances[idx[:, None], idx].max()) if len(idx) > 1 else 0.0
-            known[key] = (float(domain.priors[idx].sum()), diam)
+            # the callers' ids are distinct and valid
+            known[key] = _geometry(domain, np.array(key))
         geometry.append(known[key])
     return _mean_diameter(geometry)
 
@@ -185,7 +188,7 @@ class _Side:
         return float(self.domain.distances[loc, self.members].min())
 
 
-def partition_on_ordering(domain, ordering, params):
+def partition_on_ordering(domain, ordering, params, *, known_feasible=False):
     """Split the domain along one Hilbert ordering.
 
     Two runs grow inward from the ends of the curve until they pass the
@@ -195,12 +198,15 @@ def partition_on_ordering(domain, ordering, params):
     minimizes their mass-weighted mean diameter, or swallowed by the most
     recently closed set until the bound holds. The result is not
     validated; best_hilbert_partition validates the walk it keeps.
+    known_feasible skips the whole-domain bound check (an n x n
+    mat-vec), for a caller that already passed it at these params.
     """
     n = domain.n
     if n < 4:
         raise ValueError("partitioning needs at least 4 locations")
     eps, em = params.eps, params.em
-    require_feasible(domain, eps, em)
+    if not known_feasible:
+        require_feasible(domain, eps, em)
     ranked = ordering.ids
 
     left_closed = []   # id-lists in curve order; also in closing order
@@ -306,10 +312,11 @@ def best_hilbert_partition(domain, params, order=None):
 
     Ties keep the earliest rotation (0, 90, 180, 270 order). Only the kept
     walk is validated. Feasibility is a property of the whole domain, so
-    infeasible parameters raise from the first rotation.
+    it is checked once, in the first rotation, which raises for
+    infeasible parameters.
     """
-    walks = (partition_on_ordering(domain, ordering, params)
-             for ordering in all_rotations(domain, order))
+    walks = (partition_on_ordering(domain, ordering, params, known_feasible=i > 0)
+             for i, ordering in enumerate(all_rotations(domain, order)))
     best = min(walks, key=lambda part: weighted_avg_diameter(part.plss))
     best.validate(domain)
     return best

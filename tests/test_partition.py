@@ -202,6 +202,27 @@ def test_best_hilbert_propagates_infeasibility():
         best_hilbert_partition(dom, PrivacyParams(1.0, 10.0))
 
 
+def test_best_hilbert_checks_the_whole_domain_once(monkeypatch):
+    calls = []
+    real = partition_mod.require_feasible
+    monkeypatch.setattr(partition_mod, "require_feasible",
+                        lambda *args: calls.append(args) or real(*args))
+    dom = synth_domain(40, seed=3)
+    best_hilbert_partition(dom, PrivacyParams(1.0, 0.1))
+    assert len(calls) == 1
+    # a walk on its own still checks
+    with pytest.raises(InfeasibleParamsError):
+        partition_on_ordering(dom, order_domain(dom), PrivacyParams(1.0, 1e3))
+    assert len(calls) == 2
+
+
+def test_pls_build_reports_unknown_ids():
+    dom = synth_domain(6, seed=1)
+    for members, bad in (([0, 6], 6), ([-1, 2], -1), ([-2, 9], -2)):
+        with pytest.raises(ValueError, match=f"unknown location id {bad}$"):
+            Pls.build(dom, members, 1.0)
+
+
 def test_curve_walk_peaks_below_one_distance_table():
     """The walk's whole-domain floor tests read the distance table in place,
     so at n = 1000 it peaks below 0.2 n x n float64 arrays (a copy is one)."""
