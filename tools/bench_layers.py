@@ -4,15 +4,19 @@
     python tools/bench_layers.py --out BENCH.json --tree parent=/path/to/other/checkout
 
 Each tree is a source checkout (a directory holding src/locobf); the
-default is the checkout this script lives in, labelled "current". Every
-tree runs in its own interpreter with BLAS on one thread, on the same
-fixed inputs: for n = 50, 200, 1000 and 3000, synth_domain(n,
-seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))), partitioned by
-best_hilbert_partition at eps=1, em=0.1. The layers are synth_domain,
-best_hilbert_partition, build_matrix, build_matrix_constant (at the
-largest set diameter), compute_metrics (on the build_matrix matrix),
-sample_pseudo (single-user draws, seed [n, 1]) and worker_travel_distance
-(five rounds of min(300, n) idle workers and 1000 tasks uniform over the
+default is the checkout this script lives in, labelled "current". The
+run is split into steps, one per size and a last one for the sweep
+layer; every step runs each tree in a fresh interpreter with BLAS on one
+thread, and the trees alternate: the first step runs them in the order
+given, the next in reverse, and so on (A B, B A, A B, ...). A CPU that
+switches speed for a while then slows both trees' runs of a step, not
+one tree's whole run. The inputs are fixed: for n = 50, 200, 1000 and
+3000, synth_domain(n, seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))),
+partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
+synth_domain, best_hilbert_partition, build_matrix,
+build_matrix_constant (at the largest set diameter), compute_metrics
+(on the build_matrix matrix), sample_pseudo (single-user draws, seed
+[n, 1]) and worker_travel_distance (five rounds of min(300, n) idle workers and 1000 tasks uniform over the
 domain's bounding box, seeds [n, 2] and [n, 3, round]). Both draw layers
 reuse one matrix across the timed calls, as a server does, so after the
 first call they read row CDFs the matrix already keeps. For n = 50 and
@@ -84,8 +88,9 @@ def _measure(fn):
     return wall, peak, result
 
 
-def run_layers():
-    """Every layer at every size, from the locobf on sys.path."""
+def run_layers(n):
+    """Every layer at size n, or the sweep layer for n = "sweep", from the
+    locobf on sys.path."""
     import numpy as np
 
     import locobf as lb
@@ -99,53 +104,54 @@ def run_layers():
         layers.setdefault(layer, {})[str(n)] = entry
         return result
 
-    for n in SIZES:
-        side = max(16, math.ceil(math.sqrt(2 * n)))
-        dom = record("synth_domain", n, lambda: lb.synth_domain(n, seed=[n, 0], grid_side=side))
-        part = record("best_hilbert_partition", n,
-                      lambda: lb.best_hilbert_partition(dom, lb.PrivacyParams(EPS, EM)))
-        matrix = record("build_matrix", n, lambda: lb.build_matrix(dom, part))
-        d_max = max(p.diam for p in part.plss)
-        record("build_matrix_constant", n, lambda: lb.build_matrix_constant(dom, d_max, EPS))
-        record("compute_metrics", n, lambda: lb.compute_metrics(dom, matrix))
+    if n == "sweep":
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "sweep.cfg"
+            config.write_text(SWEEP_CONFIG.format(output_dir=Path(tmp) / "results"))
 
-        def draws():
-            rng = np.random.default_rng([n, 1])
-            users = rng.integers(n, size=DRAWS).tolist()
-            return [lb.sample_pseudo(matrix, u, rng) for u in users]
+            def sweep():
+                return lb.run_sweep(lb.parse_sweep_config(config))
 
-        record("sample_pseudo", n, draws,
-               lambda wall: {"draws": DRAWS, "draws_per_s": DRAWS / wall})
-        lo, hi = dom.positions.min(axis=0), dom.positions.max(axis=0)
-        tasks = lo + np.random.default_rng([n, 2]).uniform(size=(WTD_TASKS, 2)) * (hi - lo)
-        idle = min(WTD_IDLE, n)
+            record("sweep", SWEEP_N, sweep, lambda wall: _count_fills(sweep))
+        return layers
+    side = max(16, math.ceil(math.sqrt(2 * n)))
+    dom = record("synth_domain", n, lambda: lb.synth_domain(n, seed=[n, 0], grid_side=side))
+    part = record("best_hilbert_partition", n,
+                  lambda: lb.best_hilbert_partition(dom, lb.PrivacyParams(EPS, EM)))
+    matrix = record("build_matrix", n, lambda: lb.build_matrix(dom, part))
+    d_max = max(p.diam for p in part.plss)
+    record("build_matrix_constant", n, lambda: lb.build_matrix_constant(dom, d_max, EPS))
+    record("compute_metrics", n, lambda: lb.compute_metrics(dom, matrix))
 
-        def wtd_rounds():
-            return [lb.worker_travel_distance(dom, matrix, tasks, idle,
-                                              np.random.default_rng([n, 3, r]))
-                    for r in range(WTD_ROUNDS)]
+    def draws():
+        rng = np.random.default_rng([n, 1])
+        users = rng.integers(n, size=DRAWS).tolist()
+        return [lb.sample_pseudo(matrix, u, rng) for u in users]
 
-        record("worker_travel_distance", n, wtd_rounds,
-               lambda wall: {"rounds": WTD_ROUNDS, "idle": idle, "tasks": WTD_TASKS,
-                             "round_s": wall / WTD_ROUNDS})
-        if n not in QK_SIZES:
-            continue
-        pdom = lb.assign_personal_eps(dom, 0.5, 1.5, seed=n)
-        for layer, qk_dom, personalized in (("qk_partition", dom, False),
-                                            ("qk_partition/personalized", pdom, True)):
-            def search():
-                return lb.qk_partition(qk_dom, lb.PrivacyParams(EPS, EM), lb.QkConfig(),
-                                       personalized=personalized)
+    record("sample_pseudo", n, draws,
+           lambda wall: {"draws": DRAWS, "draws_per_s": DRAWS / wall})
+    lo, hi = dom.positions.min(axis=0), dom.positions.max(axis=0)
+    tasks = lo + np.random.default_rng([n, 2]).uniform(size=(WTD_TASKS, 2)) * (hi - lo)
+    idle = min(WTD_IDLE, n)
 
-            record(layer, n, search, lambda wall: _count_fills(search))
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "sweep.cfg"
-        config.write_text(SWEEP_CONFIG.format(output_dir=Path(tmp) / "results"))
+    def wtd_rounds():
+        return [lb.worker_travel_distance(dom, matrix, tasks, idle,
+                                          np.random.default_rng([n, 3, r]))
+                for r in range(WTD_ROUNDS)]
 
-        def sweep():
-            return lb.run_sweep(lb.parse_sweep_config(config))
+    record("worker_travel_distance", n, wtd_rounds,
+           lambda wall: {"rounds": WTD_ROUNDS, "idle": idle, "tasks": WTD_TASKS,
+                         "round_s": wall / WTD_ROUNDS})
+    if n not in QK_SIZES:
+        return layers
+    pdom = lb.assign_personal_eps(dom, 0.5, 1.5, seed=n)
+    for layer, qk_dom, personalized in (("qk_partition", dom, False),
+                                        ("qk_partition/personalized", pdom, True)):
+        def search():
+            return lb.qk_partition(qk_dom, lb.PrivacyParams(EPS, EM), lb.QkConfig(),
+                                   personalized=personalized)
 
-        record("sweep", SWEEP_N, sweep, lambda wall: _count_fills(sweep))
+        record(layer, n, search, lambda wall: _count_fills(search))
     return layers
 
 
@@ -169,15 +175,17 @@ def _count_fills(search):
     return counts
 
 
-def run_in_tree(root, module, function):
-    """module.function() from this directory, as JSON, in a fresh one-thread
-    interpreter importing locobf from the tree's src/."""
+def run_in_tree(root, module, function, *args):
+    """module.function(*args) from this directory, as JSON, in a fresh
+    one-thread interpreter importing locobf from the tree's src/; args
+    travel as JSON."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({var: "1" for var in BLAS_VARS})
     code = ("import importlib, json, sys; sys.path.insert(0, sys.argv[1]); "
-            "print(json.dumps(getattr(importlib.import_module(sys.argv[2]), sys.argv[3])()))")
+            "fn = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); "
+            "print(json.dumps(fn(*json.loads(sys.argv[4]))))")
     proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
-                           module, function],
+                           module, function, json.dumps(args)],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -220,13 +228,19 @@ def main(argv=None):
                   "sweep: the README sweep config at config seed 1",
         "calls": f"untraced calls per layer: at least {MIN_CALLS} and {MIN_WALL_S} s",
         "blas_threads": 1,
+        "tree_order": "one interpreter per tree and step (each size, then the sweep); "
+                      "the tree order reverses every step",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
         "trees": {},
     }
     for label, root in trees:
-        report["trees"][label] = {"commit": _commit(root),
-                                  "layers": run_in_tree(root, "bench_layers", "run_layers")}
+        report["trees"][label] = {"commit": _commit(root), "layers": {}}
+    for step, n in enumerate([*SIZES, "sweep"]):
+        for label, root in trees[::-1] if step % 2 else trees:
+            layers = report["trees"][label]["layers"]
+            for layer, by_n in run_in_tree(root, "bench_layers", "run_layers", n).items():
+                layers.setdefault(layer, {}).update(by_n)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
 
