@@ -85,6 +85,23 @@ def _pairwise_distances(positions):
     return out
 
 
+# The domain table uses np.hypot, which overflows only where the distance
+# itself does. The distances below are np.linalg.norm's floats instead,
+# sqrt(dx * dx + dy * dy), which the qk fill and worker dispatch were built
+# on and their references use. The two formulas can differ in the last
+# bit, so neither replaces the other.
+def _planar_distances(xs, ys, x, y, out=None, scratch=None):
+    """sqrt(dx * dx + dy * dy) for dx = xs - x and dy = ys - y, broadcast:
+    the floats np.linalg.norm gives for each (dx, dy). out and scratch,
+    when given, hold the result and dy's squares."""
+    out = np.subtract(xs, x, out=out)
+    out *= out
+    dy = np.subtract(ys, y, out=scratch)
+    dy *= dy
+    out += dy
+    return np.sqrt(out, out=out)
+
+
 def _checked_budgets(personal_eps, n):
     """personal_eps as a read-only float array of n finite budgets > 0."""
     personal_eps = np.array(personal_eps, dtype=float)
@@ -171,20 +188,23 @@ def _member_indices(domain, members):
     return idx
 
 
+def _geometry(domain, idx):
+    # (prior mass, diameter) of the sorted, distinct, known ids idx
+    diam = float(domain.distances[idx[:, None], idx].max()) if len(idx) > 1 else 0.0
+    return float(domain.priors[idx].sum()), diam
+
+
 def diameter(domain, members):
     """Largest pairwise distance within the member set (0.0 for a singleton)."""
     idx = _member_indices(domain, members)
     if idx.size == 0:
         raise ValueError("diameter of an empty set is undefined")
-    if idx.size == 1:
-        return 0.0
-    return float(domain.distances[idx[:, None], idx].max())
+    return _geometry(domain, idx)[1]
 
 
 def prior_mass(domain, members):
     """Total prior mass of the member set; empty sets have mass 0.0."""
-    idx = _member_indices(domain, members)
-    return float(domain.priors[idx].sum()) if idx.size else 0.0
+    return _geometry(domain, _member_indices(domain, members))[0]
 
 
 def _floor_or_none(domain, members, within=False):
@@ -251,10 +271,10 @@ def satisfies_error_bound(domain, members, eps_region, em):
     return floor is not None and floor >= math.exp(eps_region) * em
 
 
-# Partitioners decide admission from running sums and call the exact test
-# only near the threshold. The running floor (products p_i * d(c, i)
+# Partitioners decide admission from running sums and compute the exact
+# floor only near the threshold. The running floor (products p_i * d(c, i)
 # summed in join order, over the summed member priors) and the exact
-# floor of satisfies_error_bound (a mat-vec over the sorted members, any
+# floor of _floor_or_none (a mat-vec over the sorted members, any
 # summation order) are each a sum of at most n non-negative products
 # divided by a sum of at most n non-negative priors. Each lies within a
 # relative (2n + 3) * 2**-53 of the real-number floor (the recursive
@@ -264,7 +284,7 @@ def satisfies_error_bound(domain, members, eps_region, em):
 # assumes no product underflows and nothing overflows: underflow costs at
 # most n * 2**-1074 absolute, which is negligible once the smallest
 # running sum is at least 2**-900, and a smaller or NaN sum, or a floor
-# above 2**900, goes to the exact test too.
+# above 2**900, goes to the exact floor too.
 _SUM_LOW = 2.0 ** -900
 _FLOOR_HIGH = 2.0 ** 900
 
@@ -280,20 +300,22 @@ def _admits(domain, members, low_sum, mass, eps_region, em, record=None):
     low_sum is the members' smallest prior-weighted distance sum over
     candidate estimates and mass their prior mass, each summed in any
     order. Outside a certified margin around the threshold they decide;
-    inside it the exact test does, so the answer is always the exact one.
+    inside it the exact floor does, computed once and compared with the
+    threshold as satisfies_error_bound compares it, so the answer is
+    always the exact one.
 
     In the array form low_sum, mass and eps_region are equal-length
     arrays, one entry per candidate set, members(t) lists entry t's
     members, and the answer is a bool array. Each entry is a sure yes, a
     sure no or undecided by the same margin; only the undecided entries
-    call members and go to the exact test.
+    call members and go to the exact floor.
 
     record, when given, is called once with what decided the answers:
     record((floor, scale, certified, answer)), scalars or arrays as the
     call's own arguments. The threshold is scale * em, with scale =
     math.exp(eps_region). floor is the running floor where the margin
-    decided (certified is true) and the exact floor where the exact test
-    did; it is NaN for a set of zero mass, which no threshold admits.
+    decided (certified is true) and the exact floor where it did not; it
+    is NaN for a set of zero mass, which no threshold admits.
     """
     rtol = _margin(domain.n)
     if isinstance(low_sum, np.ndarray):
@@ -307,10 +329,8 @@ def _admits(domain, members, low_sum, mass, eps_region, em, record=None):
         yes = certified & (floor >= threshold * (1.0 + rtol))
         certified &= yes | (floor < threshold * (1.0 - rtol))
         for t in np.flatnonzero(weighed & ~certified).tolist():
-            ids = members(t)
-            yes[t] = satisfies_error_bound(domain, ids, float(eps_region[t]), em)
-            if record is not None:
-                floor[t] = _floor_or_none(domain, ids)
+            floor[t] = _floor_or_none(domain, members(t))
+            yes[t] = floor[t] >= threshold[t]
         if record is not None:
             floor[~weighed] = math.nan
             record((floor, scale, certified, yes))
@@ -329,9 +349,8 @@ def _admits(domain, members, low_sum, mass, eps_region, em, record=None):
         answer = False
     else:
         certified = False
-        answer = satisfies_error_bound(domain, members, eps_region, em)
-        if record is not None:
-            floor = _floor_or_none(domain, members)
+        floor = _floor_or_none(domain, members)
+        answer = floor >= threshold
     if record is not None:
         record((floor, scale, certified, answer))
     return answer

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _csvio
+from .domain import _planar_distances
 
 __all__ = [
     "ObfuscationMatrix",
@@ -204,22 +205,11 @@ def worker_travel_distance(domain, matrix, tasks, idle_count, rng):
             block = tasks[lo:lo + _TASK_BLOCK]
             picks[lo:lo + len(block)] = _nearest_three(rx, ry, block, dist[:len(block)],
                                                        dy[:len(block)])
-        off = domain.positions[idle[picks]] - tasks[:, None, :]
-        to_task = np.sqrt(off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1])
+        chosen = domain.positions[idle[picks]]
+        to_task = _planar_distances(chosen[..., 0], chosen[..., 1], tasks[:, :1], tasks[:, 1:])
     # summed in chosen order, as a three-element mean() sums
     totals = (to_task[:, 0] + to_task[:, 1] + to_task[:, 2]) / 3
     return float(np.mean(totals))
-
-
-def _report_distances(rx, ry, block, dist, dy):
-    # tasks x reports into dist: the floats of np.linalg.norm over each (dx, dy)
-    np.subtract(rx, block[:, :1], out=dist)
-    dist *= dist
-    np.subtract(ry, block[:, 1:], out=dy)
-    dy *= dy
-    dist += dy
-    np.sqrt(dist, out=dist)
-    return dist
 
 
 def _nearest_three(rx, ry, block, dist, dy):
@@ -232,7 +222,7 @@ def _nearest_three(rx, ry, block, dist, dy):
     so those rows (all reports but at most two out of float range) are
     ranked by a stable sort of their distances instead.
     """
-    _report_distances(rx, ry, block, dist, dy)
+    _planar_distances(rx, ry, block[:, :1], block[:, 1:], dist, dy)
     rows = np.arange(len(block))
     picks = np.empty((len(block), 3), dtype=np.intp)
     for k in range(3):
@@ -242,8 +232,7 @@ def _nearest_three(rx, ry, block, dist, dy):
     # the minima only grow pass by pass, so a finite third one clears all three
     far = np.flatnonzero(dist[rows, picks[:, 2]] == np.inf)
     if far.size:
-        again = _report_distances(rx, ry, block[far], np.empty((far.size, len(rx))),
-                                  np.empty((far.size, len(rx))))
+        again = _planar_distances(rx, ry, block[far, :1], block[far, 1:])
         picks[far] = np.argsort(again, axis=1, kind="stable")[:, :3]
     return picks
 

@@ -16,9 +16,9 @@ from .domain import (
     InfeasibleParamsError,
     PrivacyParams,
     _admits,
-    diameter,
+    _geometry,
+    _member_indices,
     min_mean_distance,
-    prior_mass,
     satisfies_error_bound,
 )
 from .hilbert import all_rotations
@@ -96,9 +96,10 @@ class Partition:
             if overlap:
                 raise ValueError(f"location {min(overlap)} appears in two sets")
             seen.update(pls.members)
-            if abs(pls.diam - diameter(domain, pls.members)) > 1e-9:
+            mass, diam = _geometry(domain, _member_indices(domain, pls.members))
+            if abs(pls.diam - diam) > 1e-9:
                 raise ValueError("cached diameter out of sync with members")
-            if abs(pls.mass - prior_mass(domain, pls.members)) > 1e-9:
+            if abs(pls.mass - mass) > 1e-9:
                 raise ValueError("cached mass out of sync with members")
             if self.params is not None:
                 if not satisfies_error_bound(domain, pls.members, pls.eps_region, self.params.em):
@@ -123,12 +124,6 @@ def _mean_diameter(geometry):
     if not total > 0:
         raise ValueError("protection sets have zero total mass")
     return float(sum(m * d for m, d in geometry) / total)
-
-
-def _geometry(domain, idx):
-    # (mass, diameter) of sorted, distinct, known ids: the floats of prior_mass and diameter
-    diam = float(domain.distances[idx[:, None], idx].max()) if len(idx) > 1 else 0.0
-    return float(domain.priors[idx].sum()), diam
 
 
 def _sets_wad(domain, sets, known=None):

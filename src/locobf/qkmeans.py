@@ -11,12 +11,11 @@ minimum over its members.
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _admits, _margin
+from .domain import _admits, _margin, _planar_distances
 from .mechanism import _choice_cdf
 from .partition import Partition, Pls, require_feasible, _sets_wad
 
@@ -24,9 +23,6 @@ __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partiti
 
 # centers that all move less than this (km) have converged
 _CENTER_TOL = 1e-6
-# a uniform fill's four answer bounds (see _answers), kept as float64 bytes, since a
-# search keeps thousands
-_BOUNDS = struct.Struct("4d")
 # floats of leftover rows (n each) per batch of the leftover phase, whose
 # stack holds a few such rows per leftover: a batch of fills holds at most
 # this many plus its last fill's, however many restarts are filled together
@@ -127,14 +123,9 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
     stack = centers.reshape(-1, *centers.shape[-2:])
     fills, k = stack.shape[:2]
     n = domain.n
-    # base[r, i, j]: distance from location i to center j of fill r, the
-    # floats np.linalg.norm gives for each (dx, dy)
-    base = domain.positions[:, 0, None] - stack[:, None, :, 0]
-    base *= base
-    dy = domain.positions[:, 1, None] - stack[:, None, :, 1]
-    dy *= dy
-    base += dy
-    np.sqrt(base, out=base)
+    # base[r, i, j]: distance from location i to center j of fill r
+    base = _planar_distances(domain.positions[:, 0, None], domain.positions[:, 1, None],
+                             stack[:, None, :, 0], stack[:, None, :, 1])
     # row i is what location i adds to a cluster's prior-weighted distance sums
     table = domain.priors[:, None] * domain.distances
     sums = np.zeros((fills, k, n))  # sums[r, j, c]: prior-weighted distance from c to cluster j
@@ -340,38 +331,35 @@ def _answers(fill, floor, scale, certified, answer, fills, personalized):
     A fill depends on (eps, em) only through these answers: given the
     same answers it joins the same locations in the same order. The
     arrays hold one entry per decision of the call: its fill, and what
-    decided its answer as domain._admits gives it to its recorder. At
-    another threshold an answer comes out the same when the expressions
-    _admits evaluates give it again: a certified yes when floor >=
-    threshold * (1 + rtol), a certified no when floor < threshold *
-    (1 - rtol), an exact answer when floor >= threshold says the same. A
-    set of zero mass is refused at every threshold, so it is not kept.
+    decided its answer as domain._admits gives it to its recorder. An
+    answer's threshold is scale * x. With per-location budgets scale is
+    the set's math.exp(eps_S) and x = em, so eps does not enter. In
+    uniform mode every set's budget is eps: scale is kept as 1.0 and x =
+    math.exp(eps) * em, the same threshold float (1.0 * x == x) from a
+    record that holds no eps. At another x an answer comes out the same
+    when the expressions _admits evaluates give it again: a certified yes
+    when floor >= threshold * (1 + rtol), a certified no when floor <
+    threshold * (1 - rtol), an exact answer when floor >= threshold says
+    the same. A set of zero mass is refused at every threshold, so it is
+    not kept.
 
-    Answers of one kind at one threshold all hold when the floor nearest
-    the threshold holds, so only that floor is kept: the smallest for a
-    yes, the largest for a no. In uniform mode every threshold is
-    math.exp(eps) * em, and a fill's result is its four floors as
-    _BOUNDS bytes, in the order certified yes, certified no, exact yes,
-    exact no. With per-location budgets a threshold is scale * em for
-    the set's scale = math.exp(eps_S), and eps does not enter: a fill's
-    result is the bytes of a (2, m) array of floors over scales, one
-    column per kind and scale in that kind order, and where each kind
-    after the first begins.
+    Answers of one kind and scale all hold when the floor nearest the
+    threshold holds, so only that floor is kept: the smallest for a yes,
+    the largest for a no. A fill's result is the bytes of a (2, m) array
+    of floors over scales, one column per kind and scale, in the kind
+    order certified yes, certified no, exact yes, exact no, and the
+    columns where each kind after the first begins.
     """
     keep = floor == floor  # not NaN, the floor of a set of zero mass
     fill, floor = fill[keep].astype(np.intp), floor[keep]
     kind = 2 * (certified[keep] == 0) + (answer[keep] == 0)
-    scale = scale[keep] if personalized else np.zeros_like(floor)
+    scale = scale[keep] if personalized else np.ones_like(floor)
     # each (fill, kind, scale) group's floor nearest the threshold first, then keep the firsts
     order = np.lexsort((np.where(kind % 2, -floor, floor), scale, kind, fill))
     fill, kind, scale, floor = fill[order], kind[order], scale[order], floor[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(fill) != 0) | (np.diff(kind) != 0) | (scale[1:] != scale[:-1])
     fill, kind, scale, floor = fill[first], kind[first], scale[first], floor[first]
-    if not personalized:
-        bounds = np.tile([math.inf, -math.inf, math.inf, -math.inf], (fills, 1))
-        bounds[fill, kind] = floor
-        return [row.tobytes() for row in bounds]
     counts = np.bincount(fill * 4 + kind, minlength=4 * fills).reshape(fills, 4)
     pairs = np.array([floor, scale])
     ends = np.cumsum(counts.sum(axis=1)).tolist()
@@ -387,7 +375,9 @@ class _Search:
     With keep set, it keeps between calls each k's seeded centers, every
     cluster's (mass, diameter) and one record per fill made, so a later
     call replays a fill whose admission answers all come out the same
-    under its params (see _answers) instead of filling again. The budget
+    under its params instead of filling again. A record holds the
+    floors and scales that decided the answers, in one format for both
+    modes (see _answers); agree reads it. The budget
     weight's lam changes the fill itself, so fills are kept per lam. A
     search asked once leaves keep unset: its fills are keyed by k, the
     keys of different k never meet, so it keeps no fill records and
@@ -443,19 +433,20 @@ class _Search:
 
     def agree(self, answers, params):
         """Whether every answer of a fill (see _answers) comes out the same under params."""
-        rtol = self.rtol
-        if not self.personalized:
-            threshold = math.exp(params.eps) * params.em
-            yes, no, exact_yes, exact_no = _BOUNDS.unpack(answers)
-            return (yes >= threshold * (1.0 + rtol) and no < threshold * (1.0 - rtol)
-                    and exact_yes >= threshold > exact_no)
+        x = params.em if self.personalized else math.exp(params.eps) * params.em
         pairs, (a, b, c) = answers
-        floor, scale = np.frombuffer(pairs).reshape(2, -1)
-        threshold = scale * params.em
-        return bool((floor[:a] >= threshold[:a] * (1.0 + rtol)).all()
-                    and (floor[a:b] < threshold[a:b] * (1.0 - rtol)).all()
-                    and (floor[b:c] >= threshold[b:c]).all()
-                    and (floor[c:] < threshold[c:]).all())
+        values = memoryview(pairs).cast("d").tolist()  # the floors, then the scales
+        m = len(values) // 2
+        up, down = 1.0 + self.rtol, 1.0 - self.rtol
+        for t in range(m):
+            floor, threshold = values[t], values[m + t] * x
+            # by kind: certified yes, certified no, exact yes, exact no
+            if not (floor >= threshold * up if t < a else
+                    floor < threshold * down if t < b else
+                    floor >= threshold if t < c else
+                    floor < threshold):
+                return False
+        return True
 
     def fill(self, keys, k, params):
         """The record of the fill from each centers bytes under params,

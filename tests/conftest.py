@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import locobf.domain as domain_mod
 from locobf import LocationDomain, ObfuscationMatrix, min_mean_distance
 
 
@@ -33,6 +34,37 @@ def line6_tie(line6):
         em = math.nextafter(em, 0.0)
     assert math.exp(eps) * em == floor
     return eps, em
+
+
+@pytest.fixture
+def watch_admits(monkeypatch):
+    """watch_admits(*modules) wraps the modules' _admits with a recorder and
+    returns a list that gets, per call, (entries the margin left undecided,
+    exact floors computed during the call); a set of zero mass is decided."""
+    real_admits, real_floor = domain_mod._admits, domain_mod._floor_or_none
+    floors = []
+    monkeypatch.setattr(domain_mod, "_floor_or_none",
+                        lambda *args: floors.append(args) or real_floor(*args))
+
+    def watch(*modules):
+        calls = []
+
+        def watched(domain, members, low_sum, mass, eps_region, em, record=None):
+            before = len(floors)
+            decided = []
+            answer = real_admits(domain, members, low_sum, mass, eps_region, em, decided.append)
+            floor, _, certified, _ = decided[0]
+            undecided = int(np.sum(~np.asarray(certified) & ~np.isnan(floor)))
+            calls.append((undecided, len(floors) - before))
+            if record is not None:
+                record(decided[0])
+            return answer
+
+        for module in modules:
+            monkeypatch.setattr(module, "_admits", watched)
+        return calls
+
+    return watch
 
 
 @pytest.fixture

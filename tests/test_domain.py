@@ -174,15 +174,19 @@ def _floor_cases():
     return tiny, cases
 
 
+def _counting_floors(monkeypatch):
+    """Calls to domain._floor_or_none from now on, as a list of their arguments."""
+    floors = []
+    real = domain_mod._floor_or_none
+    monkeypatch.setattr(domain_mod, "_floor_or_none",
+                        lambda *args: floors.append(args) or real(*args))
+    return floors
+
+
 def test_running_floor_test_is_exact(monkeypatch):
-    """Thresholds on a set's floor and one ulp either side get the exact answer."""
-    fallbacks = []
-
-    def exact(*args):
-        fallbacks.append(args)
-        return satisfies_error_bound(*args)
-
-    monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
+    """Thresholds on a set's floor and one ulp either side get the exact answer,
+    and a set the margin leaves undecided computes its exact floor once."""
+    fallbacks = _counting_floors(monkeypatch)
     tiny, cases = _floor_cases()
     zero = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
     ties = 0
@@ -195,12 +199,16 @@ def test_running_floor_test_is_exact(monkeypatch):
                 low_sum, mass = _running_floor_sum(dom, order)
                 before = len(fallbacks)
                 assert _admits(dom, members, low_sum, mass, eps, em) == want
+                exact = len(fallbacks) > before
+                assert fallbacks[before:] == [(dom, members)] * exact
                 if math.exp(eps) * em == floor or dom is tiny:
-                    assert len(fallbacks) == before + 1
-                # the recorder gets the floor that decided: the running one, or the exact one
+                    assert exact
+                # the recorder gets the floor that decided, the running one or the exact
+                # one, and a recorded fallback computes that floor once too
                 recorded = []
+                before = len(fallbacks)
                 assert _admits(dom, members, low_sum, mass, eps, em, recorded.append) == want
-                exact = len(fallbacks) > before + 1
+                assert len(fallbacks) == before + exact
                 assert recorded == [(floor if exact else low_sum / mass, math.exp(eps),
                                      not exact, want)]
     assert ties >= len(cases) // 2
@@ -210,39 +218,39 @@ def test_running_floor_test_is_exact(monkeypatch):
         assert _admits(zero, [0, 1], low_sum, mass, 1.0, em) is False
         assert not satisfies_error_bound(zero, [0, 1], 1.0, em)
         recorded = []
+        before = len(fallbacks)
         assert _admits(zero, [0, 1], low_sum, mass, 1.0, em, recorded.append) is False
+        assert len(fallbacks) == before
         assert math.isnan(recorded[0][0]) and recorded[0][2:] == (False, False)
 
 
 def test_running_floor_array_form(monkeypatch):
-    """The array form gives the exact answers and asks for members where the scalar form falls back."""
-    fallbacks = []
-
-    def exact(*args):
-        fallbacks.append(args)
-        return satisfies_error_bound(*args)
-
+    """The array form gives the exact answers, asks for members where the scalar
+    form falls back, and computes one exact floor per entry it asks for."""
     _, cases = _floor_cases()
     zero = LocationDomain([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [0.0, 0.0, 1.0])
     cases.append((zero, [0, 1], 1.0))
     sums = [_running_floor_sum(dom, members) for dom, members, _ in cases]
+    fallbacks = _counting_floors(monkeypatch)
     undecided = 0
     for dom, members, eps in cases:
         # every set of this domain, with the threshold around this one's floor
         same = [c for c, case in enumerate(cases) if case[0] is dom]
         ems = (0.0, 0.1) if dom is zero else (0.0, *_ems_around(min_mean_distance(dom, members), eps))
+        arrays = (np.array([sums[c][0] for c in same]), np.array([sums[c][1] for c in same]),
+                  np.array([cases[c][2] for c in same]))
         for em in ems:
             asked = []
-            got = _admits(dom, lambda t: asked.append(t) or cases[same[t]][1],
-                          np.array([sums[c][0] for c in same]), np.array([sums[c][1] for c in same]),
-                          np.array([cases[c][2] for c in same]), em)
+            before = len(fallbacks)
+            got = _admits(dom, lambda t: asked.append(t) or cases[same[t]][1], *arrays, em)
+            assert fallbacks[before:] == [(dom, cases[same[t]][1]) for t in asked]
             assert got.dtype == bool
             assert got.tolist() == [satisfies_error_bound(dom, cases[c][1], cases[c][2], em)
                                     for c in same]
             recorded = []
-            _admits(dom, lambda t: cases[same[t]][1], np.array([sums[c][0] for c in same]),
-                    np.array([sums[c][1] for c in same]), np.array([cases[c][2] for c in same]),
-                    em, recorded.append)
+            before = len(fallbacks)
+            _admits(dom, lambda t: cases[same[t]][1], *arrays, em, recorded.append)
+            assert len(fallbacks) == before + len(asked)
             floor, scale, certified, answer = recorded[0]
             assert answer.tolist() == got.tolist()
             assert scale.tolist() == [math.exp(cases[c][2]) for c in same]
@@ -253,14 +261,12 @@ def test_running_floor_array_form(monkeypatch):
                     assert not certified[t] and floor[t] == min_mean_distance(dom, cases[c][1])
                 else:
                     assert certified[t] and floor[t] == sums[c][0] / sums[c][1]
-            monkeypatch.setattr(domain_mod, "satisfies_error_bound", exact)
             scalar_fallbacks = []
             for t, c in enumerate(same):
                 before = len(fallbacks)
                 _admits(dom, cases[c][1], *sums[c], cases[c][2], em)
                 if len(fallbacks) > before:
                     scalar_fallbacks.append(t)
-            monkeypatch.undo()
             assert asked == scalar_fallbacks
             undecided += len(asked)
     assert undecided >= len(cases) // 2

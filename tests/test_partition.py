@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import locobf.domain as domain_mod
 import locobf.partition as partition_mod
 import locobf.qkmeans as qkmeans_mod
 from locobf import (
@@ -132,18 +131,14 @@ def test_curve_walk_vacuous_floor(line6):
     part.validate(line6)
 
 
-def test_curve_walk_decides_ties_exactly(line6, line6_tie, monkeypatch):
-    """A pair floor equal to exp(eps) * em is left to the exact test, and passes."""
+def test_curve_walk_decides_ties_exactly(line6, line6_tie, watch_admits):
+    """A pair floor equal to exp(eps) * em is left to the exact floor, which
+    is computed once, and passes."""
     eps, em = line6_tie
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return satisfies_error_bound(*args)
-
-    monkeypatch.setattr(domain_mod, "satisfies_error_bound", counting)
+    calls = watch_admits(partition_mod)
     part = partition_on_ordering(line6, order_domain(line6), PrivacyParams(eps, em))
-    assert calls
+    assert any(undecided for undecided, _ in calls)
+    assert all(undecided == floors for undecided, floors in calls)
     assert [p.members for p in part.plss] == [(0, 1), (2, 3), (4, 5)]
     part.validate(line6)
 

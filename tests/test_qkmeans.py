@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import locobf.domain as domain_mod
 import locobf.qkmeans as qkmeans_mod
 from locobf import (
     InfeasibleParamsError,
@@ -14,7 +13,6 @@ from locobf import (
     assign_round,
     eps_weight,
     qk_partition,
-    satisfies_error_bound,
     seed_centers,
     synth_domain,
     weighted_avg_diameter,
@@ -223,20 +221,16 @@ def test_seed_centers_matches_reference():
             assert np.array_equal(got, want)
 
 
-def test_assign_round_decides_ties_exactly(line6, line6_tie, monkeypatch):
-    """A floor equal to exp(eps) * em is left to the exact test, and passes."""
+def test_assign_round_decides_ties_exactly(line6, line6_tie, watch_admits):
+    """A floor equal to exp(eps) * em is left to the exact floor, which is
+    computed once, and passes."""
     eps, em = line6_tie
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return satisfies_error_bound(*args)
-
-    monkeypatch.setattr(domain_mod, "satisfies_error_bound", counting)
+    calls = watch_admits(qkmeans_mod)
     params = PrivacyParams(eps, em)
     centers = np.array([[0.5, 0.0], [2.5, 0.0], [4.5, 0.0]])
     members, feasible = assign_round(line6, centers, params)
-    assert calls
+    assert any(undecided for undecided, _ in calls)
+    assert all(undecided == floors for undecided, floors in calls)
     assert feasible
     assert members == reference_assign_round(line6, centers, params)[0]
     assert [sorted(m) for m in members] == [[0, 1], [2, 3], [4, 5]]
@@ -401,3 +395,75 @@ def test_next_centers_match_mean():
                          for j, f in enumerate(family)])
         assert nxt[r].tobytes() == want.tobytes()
         assert moved[r] == float(np.linalg.norm(want - centers[r], axis=1).max())
+
+
+def _ems_crossing(floor, scale, factor):
+    """em values around the smallest em whose threshold scale * em * factor
+    reaches floor: one ulp below it, it, and one ulp above."""
+    def reaches(em):
+        return scale * em * factor >= floor
+
+    em = floor / (scale * factor)
+    while not reaches(em):
+        em = math.nextafter(em, math.inf)
+    while em > 0 and reaches(math.nextafter(em, 0.0)):
+        em = math.nextafter(em, 0.0)
+    return math.nextafter(em, 0.0), em, math.nextafter(em, math.inf)
+
+
+@pytest.mark.parametrize("personalized", [False, True])
+def test_fill_record_agrees_with_its_decisions(personalized, monkeypatch):
+    """A kept fill's record agrees with params exactly when every admission
+    decision _answers reduced into it comes out the same at params, as
+    domain._admits decides it: a certified answer by the margin, an exact
+    one by the floor. Thresholds on recorded floors, on their margins and
+    one ulp either side of each are included."""
+    raw = []
+    real = qkmeans_mod._answers
+
+    def keeping(*args):
+        records = real(*args)
+        raw.append((args, records))
+        return records
+
+    monkeypatch.setattr(qkmeans_mod, "_answers", keeping)
+    dom = synth_domain(30)
+    if personalized:
+        dom = assign_personal_eps(dom, 0.5, 1.5, seed=1)
+    search = qkmeans_mod._Search(dom, QkConfig(max_samp=3), personalized, None, keep=True)
+    search.partition(PrivacyParams(1.0, 0.1))
+    rtol = search.rtol
+    # then at thresholds on floors of the first search, which leaves those sets to the exact floor
+    (_, floor, scale, certified, _, _, _), _ = raw[0]
+    for t in np.flatnonzero(certified[:40]).tolist()[::8]:
+        search.partition(PrivacyParams(1.0, _ems_crossing(floor[t], scale[t], 1.0)[1]))
+    records, decisions = [], []  # per fill its record and its raw decisions with a floor
+    for (fill, *decided, count, _), kept in raw:
+        assert len(kept) == count
+        records += kept
+        for r in range(count):
+            decisions.append([d[(fill == r) & ~np.isnan(decided[0])] for d in decided])
+    starts = np.cumsum([0] + [len(d[0]) for d in decisions])  # each fill's, then the end
+    floor, scale, certified, answer = (np.concatenate(d) for d in zip(*decisions))
+    certified, answer = certified != 0, answer != 0
+    assert certified.any() and not certified.all()  # certified and exact answers
+    # thresholds at and around recorded floors and their margins, exact ones and certified ones
+    grid = set()
+    for t in [*np.flatnonzero(~certified)[::20][:3], *np.flatnonzero(certified)[::2000][:3]]:
+        for eps in ((1.0,) if personalized else (0.5, 2.0)):
+            s = scale[t] if personalized else math.exp(eps)
+            for factor in (1.0, 1.0 + rtol, 1.0 - rtol):
+                grid.update((eps, em) for em in _ems_crossing(floor[t], s, factor))
+    verdicts = {True: 0, False: 0}
+    for eps, em in sorted(grid):
+        threshold = scale * em if personalized else math.exp(eps) * em
+        again = np.where(
+            certified,
+            np.where(answer, floor >= threshold * (1.0 + rtol), floor < threshold * (1.0 - rtol)),
+            (floor >= threshold) == answer,
+        )
+        changed = np.cumsum(np.append(0, ~again))[starts]  # answers changed before each start
+        for record, same in zip(records, np.diff(changed) == 0):
+            assert search.agree(record, PrivacyParams(eps, em)) == same
+            verdicts[bool(same)] += 1
+    assert min(verdicts.values()) > 0, verdicts

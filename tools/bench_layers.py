@@ -6,13 +6,15 @@
 Each tree is a source checkout (a directory holding src/locobf); the
 default is the checkout this script lives in, labelled "current". The
 run is split into steps, one per size and a last one for the sweep
-layer; every step runs each tree in a fresh interpreter with BLAS on one
-thread, and the trees alternate: the first step runs them in the order
-given, the next in reverse, and so on (A B, B A, A B, ...). A CPU that
-switches speed for a while then slows both trees' runs of a step, not
-one tree's whole run. The inputs are fixed: for n = 50, 200, 1000 and
-3000, synth_domain(n, seed=[n, 0], grid_side=max(16, ceil(sqrt(2 n)))),
-partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
+layer; every step runs each tree twice, each time in a fresh
+interpreter with BLAS on one thread: first the trees in the order given,
+then in reverse (A B B A). A CPU that switches speed for a while inside
+a step then slows at most one of each tree's two runs of it, or both
+trees' runs alike. Each tree keeps both runs under "runs", and its
+"layers" holds, per layer and size, the entry of the run with the lower
+wall_s, whose "run" field says which (0 or 1). The inputs are fixed:
+for n = 50, 200, 1000 and 3000, synth_domain(n, seed=[n, 0],
+grid_side=max(16, ceil(sqrt(2 n)))), partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
 synth_domain, best_hilbert_partition, build_matrix,
 build_matrix_constant (at the largest set diameter), compute_metrics
 (on the build_matrix matrix), sample_pseudo (single-user draws, seed
@@ -65,9 +67,10 @@ dataset     = synth:n=50,grid_side=16
 eps_values  = 0.5, 1.0, 2.0
 em_values   = 0.05, 0.1
 algorithms  = hilbert, qk, qk-personalized, em-baseline
-seeds       = 1
+seeds       = {seeds}
 output_dir  = {output_dir}
 """
+SWEEP_SEED = 1  # the config seed of the sweep layer
 
 
 def _measure(fn):
@@ -107,7 +110,8 @@ def run_layers(n):
     if n == "sweep":
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "sweep.cfg"
-            config.write_text(SWEEP_CONFIG.format(output_dir=Path(tmp) / "results"))
+            config.write_text(SWEEP_CONFIG.format(seeds=SWEEP_SEED,
+                                                  output_dir=Path(tmp) / "results"))
 
             def sweep():
                 return lb.run_sweep(lb.parse_sweep_config(config))
@@ -228,19 +232,28 @@ def main(argv=None):
                   "sweep: the README sweep config at config seed 1",
         "calls": f"untraced calls per layer: at least {MIN_CALLS} and {MIN_WALL_S} s",
         "blas_threads": 1,
-        "tree_order": "one interpreter per tree and step (each size, then the sweep); "
-                      "the tree order reverses every step",
+        "tree_order": "one interpreter per tree and run of each step (each size, then the "
+                      "sweep); each step runs the trees in the order given, then in reverse; "
+                      "layers keeps each tree's run with the lower wall_s",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
         "trees": {},
     }
     for label, root in trees:
-        report["trees"][label] = {"commit": _commit(root), "layers": {}}
-    for step, n in enumerate([*SIZES, "sweep"]):
-        for label, root in trees[::-1] if step % 2 else trees:
-            layers = report["trees"][label]["layers"]
-            for layer, by_n in run_in_tree(root, "bench_layers", "run_layers", n).items():
-                layers.setdefault(layer, {}).update(by_n)
+        report["trees"][label] = {"commit": _commit(root), "layers": {}, "runs": [{}, {}]}
+    for n in [*SIZES, "sweep"]:
+        for run, order in enumerate((trees, trees[::-1])):
+            for label, root in order:
+                layers = report["trees"][label]["runs"][run]
+                for layer, by_n in run_in_tree(root, "bench_layers", "run_layers", n).items():
+                    layers.setdefault(layer, {}).update(by_n)
+    for tree in report["trees"].values():
+        for run, layers in enumerate(tree["runs"]):
+            for layer, by_n in layers.items():
+                best = tree["layers"].setdefault(layer, {})
+                for n, entry in by_n.items():
+                    if n not in best or entry["wall_s"] < best[n]["wall_s"]:
+                        best[n] = dict(entry, run=run)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -27,7 +27,10 @@ bench_layers.run_in_tree, on the same fixed inputs:
   grid_side=40), walk partition at eps=1, em=0.1, build_matrix): from one
   rng, three worker_travel_distance scores (300 idle workers, 1000
   uniform tasks) around two bursts of 1,000 sample_pseudo ids, half of
-  them from one heavy user, then the rng's next double.
+  them from one heavy user, then the rng's next double;
+- the README sweep (bench_layers.SWEEP_CONFIG) at config seeds 1-3, one
+  run_sweep each: every result file's name and bytes. Its qk cells
+  replay shared fills, which the one-shot searches above never do.
 
 Prints one line per group with each tree's digest. With two or more
 trees it exits 1 when any group differs between them.
@@ -36,10 +39,12 @@ trees it exits 1 when any group differs between them.
 import argparse
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from bench_layers import ROOT, parse_trees, run_in_tree
+from bench_layers import ROOT, SWEEP_CONFIG, parse_trees, run_in_tree
 
 # (label, n, grid side, eps, em, fixed synth seed or None), as perfbench's release-large
 RELEASE = (
@@ -50,6 +55,7 @@ RELEASE = (
 RELEASE_SEEDS = (0, 1, 2)
 # as perfbench's dispatch: n, grid side, eps, em, tasks, idle workers, draws per burst
 DISPATCH = (1000, 40, 1.0, 0.1, 1000, 300, 1000)
+SWEEP_SEEDS = (1, 2, 3)
 
 
 def _feed(h, value):
@@ -139,6 +145,16 @@ def _dispatch_values(lb, seed):
     return values
 
 
+def _sweep_files(lb, seed):
+    """(name, bytes) of every file the README sweep writes at one config seed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG.format(seeds=seed, output_dir=Path(tmp) / "results"))
+        out = lb.run_sweep(lb.parse_sweep_config(config))
+        return [(path.name, np.frombuffer(path.read_bytes(), dtype=np.uint8))
+                for path in sorted(out.iterdir())]
+
+
 def run_digests():
     """Every group's digest, from the locobf on sys.path."""
     import locobf as lb
@@ -172,6 +188,8 @@ def run_digests():
             name = f"release/{label}" + ("" if seed is None else f"/seed{seed}")
             groups.update(_release_groups(lb, name, dom, eps, em))
     groups["dispatch"] = _digest([_dispatch_values(lb, seed) for seed in RELEASE_SEEDS])
+    for seed in SWEEP_SEEDS:
+        groups[f"sweep/seed{seed}"] = _digest(_sweep_files(lb, seed))
     return groups
 
 
