@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csvio
+from .domain import _run_blocks, _spans, _workers
 
 __all__ = [
     "posterior",
@@ -62,9 +63,12 @@ def quality_loss(domain, matrix):
 
 
 def _quality_loss(domain, rows, out):
-    # quality_loss's floats, with its n x n products written into out
-    np.multiply(domain.priors[:, None], rows, out=out)
-    out *= domain.distances
+    # quality_loss's floats, with its n x n products written into out a row block at a time
+    def products(lo, hi):
+        block = np.multiply(domain.priors[lo:hi, None], rows[lo:hi], out=out[lo:hi])
+        block *= domain.distances[lo:hi]
+
+    _run_blocks(products, _spans(len(rows), _BLOCK))
     return float(out.sum())
 
 
@@ -84,6 +88,8 @@ class MetricsReport:
 # rows per block of the row scans and per-true-location reductions; a block's
 # temporaries are O(block * n)
 _BLOCK = 256
+# columns per block of the attack table when several workers build it
+_COLUMNS = 512
 
 
 def _first_rows(table, target):
@@ -104,45 +110,70 @@ def _first_rows(table, target):
 def compute_metrics(domain, matrix):
     """All adversary metrics in one vectorized pass: the attack table.
 
-    Every n x n table is read along its rows. The posterior mode and the
-    optimal attack are the first row that reaches the column's
-    np.maximum.reduce or np.minimum.reduce over axis 0, which is what
-    argmax and argmin over axis 0 return, without their transposed
-    copies. No NaN can reach these reductions: the priors, the rows and
-    the distances are finite and non-negative and every marginal is
-    positive, so a product can overflow only to inf, which compares
-    equal to itself. avg_err reads row block distances[lo:hi] at the
-    attacked ids, the floats of distances[attack, lo:hi].T because the
-    table is exactly symmetric. success adds each mode's own columns;
-    where a row is the mode of 3 or more columns, the order of the
-    additions matters, so it sums that row whole, as the masked row sum
-    it replaces did.
+    The table is built in column blocks, independent of each other: a
+    block forms its posterior columns and their marginal, the posterior
+    mode, its columns of the attack costs distances @ posterior, and
+    their minima, cond_err, and the optimal attack. Every n x n table is
+    read along its rows. The posterior mode and the optimal attack are
+    the first row that reaches the column's np.maximum.reduce or
+    np.minimum.reduce over axis 0, which is what argmax and argmin over
+    axis 0 return, without their transposed copies. No NaN can reach
+    these reductions: the priors, the rows and the distances are finite
+    and non-negative and every marginal is positive, so a product can
+    overflow only to inf, which compares equal to itself. The quality
+    loss is then summed whole in the costs' buffer, and avg_err reads
+    row block distances[lo:hi] at the attacked ids, the floats of
+    distances[attack, lo:hi].T because the table is exactly symmetric.
+    success adds each mode's own columns; where a row is the mode of 3 or
+    more columns, the order of the additions matters, so it sums that row
+    whole, as the masked row sum it replaces did.
 
-    At most two n x n arrays are alive at once: the posterior and the
-    attack costs, during their one product. The quality loss is summed
-    in the costs' buffer once they are read. The product stays whole,
-    because BLAS picks its kernel by shape, and a different kernel can
-    move the last bits of cond_err.
+    With one worker (see domain._workers) the only block is the whole
+    table, one product as BLAS picks it. With several, under one BLAS
+    thread, the blocks are _COLUMNS wide (see domain._spans) and run on
+    every worker; each holds an n x _COLUMNS posterior block beside the
+    n x n costs.
     """
     matrix._require_domain(domain)
     rows, n = matrix.rows, matrix.n
-    post = domain.priors[:, None] * rows
-    marginal = post.sum(axis=0)
-    if (marginal <= 0).any():
-        raise ValueError("some pseudo-location is never reported; posterior undefined")
-    post /= marginal
-    mode = _first_rows(post, np.maximum.reduce(post, axis=0))
-    costs = domain.distances @ post
-    del post
-    cond = np.minimum.reduce(costs, axis=0)
-    attack = _first_rows(costs, cond)
+    marginal, cond = np.empty(n), np.empty(n)
+    mode, attack = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+
+    def attack_columns(lo, hi, scratch):
+        post = np.multiply(domain.priors[:, None], rows[:, lo:hi], out=scratch[:, :hi - lo])
+        total = post.sum(axis=0)
+        if (total <= 0).any():
+            raise ValueError("some pseudo-location is never reported; posterior undefined")
+        post /= total
+        marginal[lo:hi] = total
+        mode[lo:hi] = _first_rows(post, np.maximum.reduce(post, axis=0))
+        block = np.matmul(domain.distances, post, out=costs[:, lo:hi])
+        cond[lo:hi] = np.minimum.reduce(block, axis=0)
+        attack[lo:hi] = _first_rows(block, cond[lo:hi])
+
+    workers = _workers()
+    spans = _spans(n, _COLUMNS if workers > 1 else n)
+    width = max(hi - lo for lo, hi in spans)
+    # The costs and one posterior block per call that runs at once, in one
+    # allocation: freed as one, they leave malloc's heap as the two n x n
+    # arrays of one whole product do. Held apart, the blocks left about
+    # 1.4 n^2 more resident after a call in perfbench's release-large.
+    held = np.empty(n * (n + min(workers, len(spans)) * width))
+    costs = held[:n * n].reshape(n, n)
+    _run_blocks(attack_columns, spans, list(held[n * n:].reshape(-1, n, width)))
     exp_err = float(cond @ marginal)
-    qloss = _quality_loss(domain, rows, costs)  # the costs are spent; their buffer is reused
-    del costs
+    # the costs are spent: their buffer takes the quality loss products, then avg_err's
+    qloss = _quality_loss(domain, rows, costs)
     avg = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        avg[lo:hi] = (rows[lo:hi] * domain.distances[lo:hi].take(attack, axis=1)).sum(axis=1)
+
+    def attack_errors(lo, hi):
+        # every id is in range; "clip" writes out directly, where "raise" buffers it
+        terms = np.take(domain.distances[lo:hi], attack, axis=1, out=costs[lo:hi], mode="clip")
+        terms *= rows[lo:hi]
+        avg[lo:hi] = terms.sum(axis=1)
+
+    _run_blocks(attack_errors, _spans(n, _BLOCK))
+    del costs, held
     # one or two non-zero terms among zeros sum to the same float in any order
     success = np.bincount(mode, weights=rows[mode, np.arange(n)], minlength=n)
     crowded = np.flatnonzero(np.bincount(mode, minlength=n) >= 3)

@@ -8,6 +8,7 @@ the adversary metrics) works on these values.
 
 import copy
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,80 @@ class InfeasibleParamsError(ValueError):
             f"exp(eps)*em = {math.exp(self.eps) * self.em:.6g} km "
             f"(eps={self.eps:.6g}, em={self.em:.6g})"
         )
+
+
+# the variables that set the BLAS thread count; the first one set decides
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_pool = None  # ((pid, threads), executor) of the block runner, made on first use
+
+
+def _workers():
+    """Threads for independent blocks: every core of the affinity mask when
+    BLAS is pinned to one thread, else one. A BLAS that may use several
+    threads spreads its products over the cores itself, and block threads
+    beside it would oversubscribe them."""
+    value = next((os.environ[v] for v in _BLAS_VARS if os.environ.get(v)), None)
+    if value is None or value.strip() != "1":
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _spans(n, width):
+    """(lo, hi) blocks of width rows or columns covering range(n).
+
+    A remainder of at most width // 2 joins the block before it, so only
+    a block covering all of range(n) can be that narrow. With one BLAS
+    thread, OpenBLAS (the build numpy ships, on x86-64) rounds the last
+    width % 8 columns of a product at most 192 columns wide, and a single
+    column, unlike the same columns of a wider product; blocks of 257 or
+    more columns gave the whole product's floats.
+    """
+    starts = list(range(0, max(n - width // 2, 1), width))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _run_blocks(fn, spans, scratch=None):
+    """fn(lo, hi) for every span, each call writing only its own block.
+
+    With one span or one worker (see _workers) the calls run inline, in
+    order; otherwise they run on a thread pool of _workers() threads, and
+    the first span's error, if any, is raised once every call is done.
+
+    With scratch, a list of at least min(_workers(), len(spans)) arrays,
+    one for each call that can run at once, each call is fn(lo, hi,
+    array) with an array that no other running call holds. Large arrays
+    are best allocated by the caller: what a pool thread allocates comes
+    from that thread's own malloc arena and stays resident there once
+    freed.
+    """
+    global _pool
+    threads = _workers()
+    workers = min(threads, len(spans))
+    free = None if scratch is None else list(scratch)
+
+    def run(lo, hi):
+        if free is None:
+            return fn(lo, hi)
+        array = free.pop()  # atomic, and some array is free while a call starts
+        try:
+            return fn(lo, hi, array)
+        finally:
+            free.append(array)
+
+    if workers == 1:
+        for lo, hi in spans:
+            run(lo, hi)
+        return
+    key = (os.getpid(), threads)  # a forked child has none of its parent's threads
+    if _pool is None or _pool[0] != key:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="locobf-block"))
+    futures = [_pool[1].submit(run, lo, hi) for lo, hi in spans]
+    for future in futures:
+        future.exception()  # waits, so no block outlives the call
+    for future in futures:
+        future.result()
 
 
 # rows per block of the distance fill, and the side of its mirrored tiles

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _csvio
-from .domain import _planar_distances
+from .domain import _planar_distances, _run_blocks, _spans
 
 __all__ = [
     "ObfuscationMatrix",
@@ -33,6 +33,8 @@ _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 _EXP_FLOOR = -690.0
 # tasks per worker_travel_distance distance table, so the table stays in cache
 _TASK_BLOCK = 128
+# rows per block of the matrix build
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ def _exp_rows(domain, groups):
 
     Each row of a group decays with distance at rate eps / (2 * diameter);
     row_pls records the index of the group that shaped the row. Exponents
-    below _EXP_FLOOR are raised to it. The rows are built in one in-place
-    pass, so the matrix is the only n x n array.
+    below _EXP_FLOOR are raised to it. The rows are built in place, in
+    independent row blocks, so the matrix is the only n x n array.
     """
     n = domain.n
     row_pls = np.empty(n, dtype=int)
@@ -106,10 +108,15 @@ def _exp_rows(domain, groups):
         row_sens[ids] = diam
         row_eps[ids] = eps
         scale[ids] = eps / (2.0 * diam)
-    rows = np.multiply(domain.distances, -scale[:, None])
-    np.maximum(rows, _EXP_FLOOR, out=rows)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=1)[:, None]
+    rows = np.empty((n, n))
+
+    def fill(lo, hi):
+        block = np.multiply(domain.distances[lo:hi], -scale[lo:hi, None], out=rows[lo:hi])
+        np.maximum(block, _EXP_FLOOR, out=block)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1)[:, None]
+
+    _run_blocks(fill, _spans(n, _ROWS))
     return ObfuscationMatrix(rows, row_pls, row_sens, row_eps)
 
 

@@ -388,6 +388,11 @@ class _Search:
         self.weighted = _weighting(domain, personalized, weighted)
         if domain.n < 2:
             raise ValueError("partitioning needs at least 2 locations")
+        # the fill compares squared planar distances, which must stay finite
+        dx, dy = (domain.positions.max(axis=0) - domain.positions.min(axis=0)).tolist()
+        if not dx * dx + dy * dy < math.inf:
+            raise ValueError(f"a span of {max(dx, dy):.6g} km is too wide for the qk fill: "
+                             "its squared distances overflow float64")
         self.domain, self.config, self.personalized = domain, config, personalized
         self.rtol = _margin(domain.n)
         self.id_type = np.min_scalar_type(domain.n)  # of the ids and sizes in packed families

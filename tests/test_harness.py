@@ -611,6 +611,24 @@ def test_main_usage_and_io_errors(tmp_path, capsys):
     assert "pairwise distances overflow" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm", ["qk", "qk-personalized"])
+def test_partition_qk_refuses_an_overflowing_span(tmp_path, capsys, algorithm):
+    # finite distances, so the domain loads, but the qk fill's squares overflow
+    positions = np.random.default_rng(0).uniform(-1e200, 1e200, size=(12, 2))
+    wide = tmp_path / "wide.csv"
+    wide.write_text("id,x_km,y_km,prior\n" + "".join(
+        f"{i},{x!r},{y!r},1\n" for i, (x, y) in enumerate(positions.tolist())))
+    assert main([
+        "partition", "--dataset", str(wide), "--algorithm", algorithm,
+        "--eps", "1", "--em", "0.1",
+    ]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a span of 1.86467e+200 km is too wide for the qk fill: "
+                   "its squared distances overflow float64\n")
+
+
 def _fresh_python(*args):
     """Run a new interpreter that imports this checkout's locobf."""
     import locobf

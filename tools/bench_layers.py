@@ -12,7 +12,10 @@ then in reverse (A B B A). A CPU that switches speed for a while inside
 a step then slows at most one of each tree's two runs of it, or both
 trees' runs alike. Each tree keeps both runs under "runs", and its
 "layers" holds, per layer and size, the entry of the run with the lower
-wall_s, whose "run" field says which (0 or 1). The inputs are fixed:
+wall_s, whose "run" field says which (0 or 1). The file's meta records
+blas_threads and affinity_cores, the cores in the affinity mask that a
+one-thread-BLAS package may run its release-path blocks on (taskset
+limits them). The inputs are fixed:
 for n = 50, 200, 1000 and 3000, synth_domain(n, seed=[n, 0],
 grid_side=max(16, ceil(sqrt(2 n)))), partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
 synth_domain, best_hilbert_partition, build_matrix,
@@ -232,6 +235,7 @@ def main(argv=None):
                   "sweep: the README sweep config at config seed 1",
         "calls": f"untraced calls per layer: at least {MIN_CALLS} and {MIN_WALL_S} s",
         "blas_threads": 1,
+        "affinity_cores": len(os.sched_getaffinity(0)),
         "tree_order": "one interpreter per tree and run of each step (each size, then the "
                       "sweep); each step runs the trees in the order given, then in reverse; "
                       "layers keeps each tree's run with the lower wall_s",

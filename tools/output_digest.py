@@ -20,7 +20,10 @@ bench_layers.run_in_tree, on the same fixed inputs:
 - the corpus again under QkConfig(max_samp=4, max_iter=2, seed=i): the
   qk partitions of a search cut off before its centers converge;
 - release-large's three domains at seeds 0-2 (the wide one has a fixed
-  seed, so it is hashed once): the rows and meta arrays of both
+  seed, so it is hashed once) and one n = 3000 domain
+  (synth_domain(3000, seed=3, grid_side=78)), whose attack table runs
+  in six 512-column blocks under one BLAS thread, the last one 440
+  wide, more blocks than a 2-core machine runs at once: the rows and meta arrays of both
   matrices (build_matrix on the walk, and build_matrix_constant at the
   largest set diameter) and every MetricsReport field of each;
 - dispatch's domain at seeds 0-2 (synth_domain(1000, seed=[seed, 1],
@@ -46,11 +49,13 @@ import numpy as np
 
 from bench_layers import ROOT, SWEEP_CONFIG, parse_trees, run_in_tree
 
-# (label, n, grid side, eps, em, fixed synth seed or None), as perfbench's release-large
+# (label, n, grid side, eps, em, fixed synth seed or None): perfbench's release-large,
+# then a domain whose attack table has more column blocks than workers
 RELEASE = (
     ("dense", 2000, 56, 1.0, 0.1, None),
     ("large-em", 1500, 48, 1.0, 0.5, None),
     ("wide", 1500, 1024, 2.0, 0.05, 1),
+    ("n3000", 3000, 78, 1.0, 0.1, 3),
 )
 RELEASE_SEEDS = (0, 1, 2)
 # as perfbench's dispatch: n, grid side, eps, em, tasks, idle workers, draws per burst
