@@ -68,7 +68,8 @@ def test_spans_cover_with_no_short_remainder():
 def _domains():
     """(domain, eps, em): sizes around the 512-column blocks, and the wide domain."""
     for n in (511, 512, 513, 1025):
-        yield synth_domain(n, seed=[n, 9], grid_side=max(16, int(np.ceil(np.sqrt(2 * n))))), 1.0, 0.1
+        side = max(16, int(np.ceil(np.sqrt(2 * n))))
+        yield synth_domain(n, seed=[n, 9], grid_side=side), 1.0, 0.1
     yield synth_domain(1500, seed=1, grid_side=1024), 2.0, 0.05
 
 
@@ -111,7 +112,8 @@ def _child_checks():
         compute_metrics(dom, ObfuscationMatrix(rows))
     except ValueError as exc:
         assert str(exc) == "some pseudo-location is never reported; posterior undefined"
-        files = [Path(frame.filename).parts[-3:] for frame in traceback.extract_tb(exc.__traceback__)]
+        frames = traceback.extract_tb(exc.__traceback__)
+        files = [Path(frame.filename).parts[-3:] for frame in frames]
         assert ("concurrent", "futures", "thread.py") in files  # raised in a worker
     else:
         raise AssertionError("a never-reported column must raise")

@@ -162,17 +162,13 @@ def test_qk_partition_validates_inputs(line6):
         qk_partition(tiny, PrivacyParams(1.0, 0.0))
 
 
-def _wide_span_domain():
-    """12 locations up to 1e200 km apart: their hypot distances are finite,
-    but the squared distances the qk fill compares overflow float64."""
-    positions = np.random.default_rng(0).uniform(-1e200, 1e200, size=(12, 2))
-    return LocationDomain(positions, np.ones(12), personal_eps=np.linspace(0.5, 1.5, 12))
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("personalized", [False, True])
 def test_qk_partition_refuses_an_overflowing_span(personalized):
-    dom = _wide_span_domain()
+    # 12 locations up to 1e200 km apart: their hypot distances are finite,
+    # but the squared distances the qk fill compares overflow float64
+    positions = np.random.default_rng(0).uniform(-1e200, 1e200, size=(12, 2))
+    dom = LocationDomain(positions, np.ones(12), personal_eps=np.linspace(0.5, 1.5, 12))
     span = (dom.positions.max(axis=0) - dom.positions.min(axis=0)).max()
     with pytest.raises(ValueError, match=re.escape(f"a span of {span:.6g} km is too wide")):
         qk_partition(dom, PrivacyParams(1.0, 0.1), personalized=personalized)
