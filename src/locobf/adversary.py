@@ -85,11 +85,14 @@ class MetricsReport:
     NAMES = ("exp_err", "qloss", "cond_err", "avg_err", "success")
 
 
-# rows per block of the row scans and per-true-location reductions; a block's
+# rows per block of the per-true-location reductions; a block's
 # temporaries are O(block * n)
 _BLOCK = 256
 # columns per block of the attack table when several workers build it
 _COLUMNS = 512
+# rows per comparison of _first_rows, which runs on every worker at once: with
+# 512 columns its bool block and the ufunc buffer for target take about 36 KB
+_SCAN = 8
 
 
 def _first_rows(table, target):
@@ -101,8 +104,8 @@ def _first_rows(table, target):
     """
     n = len(target)
     first = np.full(n, len(table))
-    for lo in range(0, len(table), _BLOCK):
-        i, j = np.divmod(np.flatnonzero(table[lo:lo + _BLOCK] == target), n)
+    for lo in range(0, len(table), _SCAN):
+        i, j = np.divmod(np.flatnonzero(table[lo:lo + _SCAN] == target), n)
         np.minimum.at(first, j, i + lo)
     return first
 
@@ -140,14 +143,17 @@ def compute_metrics(domain, matrix):
     mode, attack = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
 
     def attack_columns(lo, hi, scratch):
-        post = np.multiply(domain.priors[:, None], rows[:, lo:hi], out=scratch[:, :hi - lo])
+        # every array here is contiguous, and einsum's product of the broadcast
+        # priors needs no ufunc buffer: those buffers are up to 64 KB an operand
+        post = np.einsum("i,ij->ij", domain.priors, rows[:, lo:hi],
+                         out=scratch[:n * (hi - lo)].reshape(n, hi - lo))
         total = post.sum(axis=0)
         if (total <= 0).any():
             raise ValueError("some pseudo-location is never reported; posterior undefined")
         post /= total
         marginal[lo:hi] = total
         mode[lo:hi] = _first_rows(post, np.maximum.reduce(post, axis=0))
-        block = np.matmul(domain.distances, post, out=costs[:, lo:hi])
+        block = np.matmul(domain.distances, post, out=held[n * lo:n * hi].reshape(n, hi - lo))
         cond[lo:hi] = np.minimum.reduce(block, axis=0)
         attack[lo:hi] = _first_rows(block, cond[lo:hi])
 
@@ -158,9 +164,10 @@ def compute_metrics(domain, matrix):
     # allocation: freed as one, they leave malloc's heap as the two n x n
     # arrays of one whole product do. Held apart, the blocks left about
     # 1.4 n^2 more resident after a call in perfbench's release-large.
+    # The costs of columns lo:hi fill held[n * lo:n * hi], one contiguous block.
     held = np.empty(n * (n + min(workers, len(spans)) * width))
+    _run_blocks(attack_columns, spans, list(held[n * n:].reshape(-1, n * width)))
     costs = held[:n * n].reshape(n, n)
-    _run_blocks(attack_columns, spans, list(held[n * n:].reshape(-1, n, width)))
     exp_err = float(cond @ marginal)
     # the costs are spent: their buffer takes the quality loss products, then avg_err's
     qloss = _quality_loss(domain, rows, costs)

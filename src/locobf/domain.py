@@ -9,6 +9,7 @@ the adversary metrics) works on these values.
 import copy
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 
+# the largest budget eps whose e^eps is a finite float; math.exp overflows one ulp above it
+_EPS_MAX = math.log(sys.float_info.max)
+# what every eps check asks for, after "<name> must be "
+_EPS_RULE = f"finite and > 0 with e^eps finite (at most {_EPS_MAX!r})"
+
+
 class DomainFormatError(ValueError):
     """Raised when a dataset stream cannot be parsed into a valid domain."""
 
@@ -48,10 +55,11 @@ class InfeasibleParamsError(ValueError):
         self.eps = float(eps)
         self.em = float(em)
         self.domain_floor = float(domain_floor)
+        threshold = math.inf if self.eps > _EPS_MAX else math.exp(self.eps) * self.em
         super().__init__(
             "infeasible parameters: the whole domain reaches a minimum mean "
             f"distance of {self.domain_floor:.6g} km but the bound requires "
-            f"exp(eps)*em = {math.exp(self.eps) * self.em:.6g} km "
+            f"exp(eps)*em = {threshold:.6g} km "
             f"(eps={self.eps:.6g}, em={self.em:.6g})"
         )
 
@@ -182,8 +190,8 @@ def _checked_budgets(personal_eps, n):
     personal_eps = np.array(personal_eps, dtype=float)
     if personal_eps.shape != (n,):
         raise ValueError(f"personal eps must have shape ({n},)")
-    if not (np.isfinite(personal_eps) & (personal_eps > 0)).all():
-        raise ValueError("personal eps must be finite and > 0")
+    if not ((personal_eps > 0) & (personal_eps <= _EPS_MAX)).all():
+        raise ValueError(f"personal eps must be {_EPS_RULE}")
     personal_eps.setflags(write=False)
     return personal_eps
 
@@ -247,8 +255,8 @@ class PrivacyParams:
     lam: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and > 0")
+        if not 0 < self.eps <= _EPS_MAX:
+            raise ValueError(f"eps must be {_EPS_RULE}")
         if not 0 <= self.em < math.inf:
             raise ValueError("em must be finite and >= 0")
         if not 0 <= self.lam < math.inf:
@@ -473,8 +481,8 @@ def load_domain(source):
                 eps = float(cell)
             except ValueError:
                 raise DomainFormatError(f"line {lineno}: malformed eps value") from None
-            if not 0 < eps < math.inf:
-                raise DomainFormatError(f"line {lineno}: eps must be finite and > 0")
+            if not 0 < eps <= _EPS_MAX:
+                raise DomainFormatError(f"line {lineno}: eps must be {_EPS_RULE}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainFormatError(
                 f"line {lineno}: location {loc_id}: coordinates must be finite"

@@ -16,6 +16,8 @@ import numpy as np
 from . import _csvio
 from .adversary import compute_metrics
 from .domain import (
+    _EPS_MAX,
+    _EPS_RULE,
     InfeasibleParamsError,
     PrivacyParams,
     assign_personal_eps,
@@ -173,8 +175,8 @@ class SweepConfig:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
         # checked up front: cells that share a result never build their own params
-        if not all(0 < eps < math.inf for eps in self.eps_values):
-            raise ValueError("eps_values must be finite and > 0")
+        if not all(0 < eps <= _EPS_MAX for eps in self.eps_values):
+            raise ValueError(f"eps_values must be {_EPS_RULE}")
         if not all(0 <= em < math.inf for em in self.em_values):
             raise ValueError("em_values must be finite and >= 0")
         if not all(seed >= 0 for seed in self.seeds):

@@ -162,7 +162,8 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
     if answers is not None:
         first = np.array([d for log in logs for d in log]).reshape(-1, 4).T
         later.append((np.repeat(np.arange(fills), [len(log) for log in logs]), *first))
-        answers.extend(_answers(*map(np.concatenate, zip(*later)), fills, personalized))
+        answers.extend(_answers(*map(np.concatenate, zip(*later)), fills, personalized,
+                                _margin(n)))
     results = [(family, bool(c and p)) for family, c, p in zip(members, closed, placed)]
     return results[0] if centers.ndim == 2 else results
 
@@ -324,9 +325,29 @@ def _next_centers(domain, centers, families):
     return nxt, np.linalg.norm(nxt - centers, axis=2).max(axis=1)
 
 
-def _answers(fill, floor, scale, certified, answer, fills, personalized):
-    """Per fill of one assign_round call, its admission answers reduced to
-    what can change them.
+def _limits(floor, scale, factor):
+    """Per entry the largest float x >= 0 with (scale * x) * factor <= floor,
+    for floors >= 0 and scales >= 1; inf for an infinite floor.
+
+    Both products round monotonically, so the comparison holds for every
+    x up to the limit and for none above it. The quotient is within a
+    few ulps of the limit, and nextafter steps make it exact. (Near the
+    float maximum scale * x can overflow first and the steps run long;
+    a fill's floors stay below its span, which is below 2**512.)
+    """
+    x = floor / scale / factor  # scale first: floor / scale cannot overflow
+    while True:
+        up = np.nextafter(x, math.inf)
+        step = np.where(scale * x * factor > floor, np.nextafter(x, -math.inf),
+                        np.where(scale * up * factor <= floor, up, x))
+        if (step == x).all():
+            return x
+        x = step
+
+
+def _answers(fill, floor, scale, certified, answer, fills, personalized, rtol):
+    """Per fill of one assign_round call, the interval (low, high] of x on
+    which every admission answer it gave comes out the same.
 
     A fill depends on (eps, em) only through these answers: given the
     same answers it joins the same locations in the same order. The
@@ -335,36 +356,26 @@ def _answers(fill, floor, scale, certified, answer, fills, personalized):
     answer's threshold is scale * x. With per-location budgets scale is
     the set's math.exp(eps_S) and x = em, so eps does not enter. In
     uniform mode every set's budget is eps: scale is kept as 1.0 and x =
-    math.exp(eps) * em, the same threshold float (1.0 * x == x) from a
-    record that holds no eps. At another x an answer comes out the same
-    when the expressions _admits evaluates give it again: a certified yes
-    when floor >= threshold * (1 + rtol), a certified no when floor <
-    threshold * (1 - rtol), an exact answer when floor >= threshold says
-    the same. A set of zero mass is refused at every threshold, so it is
-    not kept.
+    math.exp(eps) * em, the same threshold float (1.0 * x == x).
 
-    Answers of one kind and scale all hold when the floor nearest the
-    threshold holds, so only that floor is kept: the smallest for a yes,
-    the largest for a no. A fill's result is the bytes of a (2, m) array
-    of floors over scales, one column per kind and scale, in the kind
-    order certified yes, certified no, exact yes, exact no, and the
-    columns where each kind after the first begins.
+    At another x an answer comes out the same when the comparison
+    _admits made gives it again: floor >= threshold * factor, with
+    factor 1 + rtol for a certified yes, 1 - rtol for a certified no and
+    1.0 for an exact answer. That holds for every x up to _limits' limit
+    and for none above it, so a yes holds on x <= its limit and a no on
+    x > its limit. high is the smallest limit of a yes, low the largest
+    of a no; +inf and -inf where a fill has none. A set of zero mass is
+    refused at every threshold, so it is not kept.
     """
     keep = floor == floor  # not NaN, the floor of a set of zero mass
-    fill, floor = fill[keep].astype(np.intp), floor[keep]
-    kind = 2 * (certified[keep] == 0) + (answer[keep] == 0)
+    fill, floor, yes = fill[keep].astype(np.intp), floor[keep], answer[keep] != 0
     scale = scale[keep] if personalized else np.ones_like(floor)
-    # each (fill, kind, scale) group's floor nearest the threshold first, then keep the firsts
-    order = np.lexsort((np.where(kind % 2, -floor, floor), scale, kind, fill))
-    fill, kind, scale, floor = fill[order], kind[order], scale[order], floor[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (np.diff(fill) != 0) | (np.diff(kind) != 0) | (scale[1:] != scale[:-1])
-    fill, kind, scale, floor = fill[first], kind[first], scale[first], floor[first]
-    counts = np.bincount(fill * 4 + kind, minlength=4 * fills).reshape(fills, 4)
-    pairs = np.array([floor, scale])
-    ends = np.cumsum(counts.sum(axis=1)).tolist()
-    return [(pairs[:, a:b].tobytes(), tuple(itertools.accumulate(c[:3])))
-            for a, b, c in zip([0] + ends, ends, counts.tolist())]
+    factor = np.where(certified[keep] == 0, 1.0, np.where(yes, 1.0 + rtol, 1.0 - rtol))
+    limit = _limits(floor, scale, factor)
+    low, high = np.full(fills, -math.inf), np.full(fills, math.inf)
+    np.maximum.at(low, fill[~yes], limit[~yes])
+    np.minimum.at(high, fill[yes], limit[yes])
+    return list(zip(low.tolist(), high.tolist()))
 
 
 class _Search:
@@ -376,8 +387,8 @@ class _Search:
     cluster's (mass, diameter) and one record per fill made, so a later
     call replays a fill whose admission answers all come out the same
     under its params instead of filling again. A record holds the
-    floors and scales that decided the answers, in one format for both
-    modes (see _answers); agree reads it. The budget
+    interval of x = em, or e^eps * em in uniform mode, on which the
+    answers hold (see _answers), and agree checks x against it. The budget
     weight's lam changes the fill itself, so fills are kept per lam. A
     search asked once leaves keep unset: its fills are keyed by k, the
     keys of different k never meet, so it keeps no fill records and
@@ -394,7 +405,6 @@ class _Search:
             raise ValueError(f"a span of {max(dx, dy):.6g} km is too wide for the qk fill: "
                              "its squared distances overflow float64")
         self.domain, self.config, self.personalized = domain, config, personalized
-        self.rtol = _margin(domain.n)
         self.id_type = np.min_scalar_type(domain.n)  # of the ids and sizes in packed families
         self.starts = {}  # k -> every restart's seeded centers, as bytes
         self.known = {}  # sorted members -> (mass, diameter)
@@ -437,21 +447,10 @@ class _Search:
         return part
 
     def agree(self, answers, params):
-        """Whether every answer of a fill (see _answers) comes out the same under params."""
-        x = params.em if self.personalized else math.exp(params.eps) * params.em
-        pairs, (a, b, c) = answers
-        values = memoryview(pairs).cast("d").tolist()  # the floors, then the scales
-        m = len(values) // 2
-        up, down = 1.0 + self.rtol, 1.0 - self.rtol
-        for t in range(m):
-            floor, threshold = values[t], values[m + t] * x
-            # by kind: certified yes, certified no, exact yes, exact no
-            if not (floor >= threshold * up if t < a else
-                    floor < threshold * down if t < b else
-                    floor >= threshold if t < c else
-                    floor < threshold):
-                return False
-        return True
+        """Whether every answer of a fill comes out the same under params:
+        whether x lies in the fill's interval (see _answers)."""
+        low, high = answers
+        return low < (params.em if self.personalized else math.exp(params.eps) * params.em) <= high
 
     def fill(self, keys, k, params):
         """The record of the fill from each centers bytes under params,

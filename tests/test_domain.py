@@ -7,6 +7,7 @@ import pytest
 import locobf.domain as domain_mod
 from locobf import (
     DomainFormatError,
+    InfeasibleParamsError,
     LocationDomain,
     PrivacyParams,
     assign_personal_eps,
@@ -342,6 +343,33 @@ def test_privacy_params():
                          (math.nan, 0.1, 0.5)):
         with pytest.raises(ValueError, match="finite"):
             PrivacyParams(eps, em, lam)
+
+
+def test_eps_bound_is_the_last_eps_whose_exp_is_finite():
+    """Every eps check accepts budgets up to ln(float max), where math.exp is
+    still finite, and refuses one ulp above it, where math.exp overflows."""
+    bound = domain_mod._EPS_MAX
+    above = math.nextafter(bound, math.inf)
+    assert math.exp(bound) < math.inf
+    with pytest.raises(OverflowError):
+        math.exp(above)
+    assert PrivacyParams(bound, 0.1).eps == bound
+    with pytest.raises(ValueError, match=r"^eps must be .* e\^eps finite"):
+        PrivacyParams(above, 0.1)
+    pair = [(0.0, 0.0), (1.0, 0.0)]
+    assert LocationDomain(pair, [0.5, 0.5], [1.0, bound]).personal_eps[1] == bound
+    with pytest.raises(ValueError, match=r"^personal eps must be .* e\^eps finite"):
+        LocationDomain(pair, [0.5, 0.5], [1.0, above])
+    uniform = LocationDomain(pair, [0.5, 0.5])
+    assert assign_personal_eps(uniform, bound, bound, 0).personal_eps.tolist() == [bound, bound]
+    with pytest.raises(ValueError, match=r"e\^eps finite"):
+        assign_personal_eps(uniform, above, 720.0, 0)
+    text = "id,x_km,y_km,prior,eps\n0,0,0,0.5,1.0\n1,1,0,0.5,{}\n"
+    assert load_domain(io.StringIO(text.format(repr(bound)))).personal_eps[1] == bound
+    with pytest.raises(DomainFormatError, match=r"^line 3: eps must be .* e\^eps finite"):
+        load_domain(io.StringIO(text.format(repr(above))))
+    # the error's message reports the overflowing threshold instead of raising
+    assert "exp(eps)*em = inf km" in str(InfeasibleParamsError(710, 0.1, 1.0))
 
 
 def test_load_domain_roundtrip(tmp_path):

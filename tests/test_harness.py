@@ -393,6 +393,11 @@ def test_sweep_config_rejects_bad_parameters():
         SweepConfig("synth:n=16", (1.0, -1.0), (0.05,), ("qk-personalized",), (1,), "out")
     with pytest.raises(ValueError, match="em_values"):
         SweepConfig("synth:n=16", (1.0,), (-0.05,), ("hilbert",), (1,), "out")
+    bound = math.log(sys.float_info.max)  # the last eps whose e^eps is finite
+    SweepConfig("synth:n=16", (1.0, bound), (0.05,), ("hilbert",), (1,), "out")
+    with pytest.raises(ValueError, match="eps_values must be finite"):
+        SweepConfig("synth:n=16", (math.nextafter(bound, math.inf),), (0.05,), ("hilbert",),
+                    (1,), "out")
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="eps_values must be finite"):
             SweepConfig("synth:n=16", (1.0, bad), (0.05,), ("hilbert",), (1,), "out")
@@ -567,6 +572,48 @@ def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
     code = main(["wtd", "--dataset", line6_file, "--eps", "1.0", "--em", "0.1", flag, value])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", ["partition", "wtd", "column", "column-wtd", "range",
+                                   "range-wtd", "range-synth", "sweep"])
+def test_an_eps_whose_exp_overflows_exits_3(tmp_path, line6_file, capsys, route):
+    """eps = 710, where math.exp overflows, from a flag, a dataset's eps
+    column, --eps-range or a sweep config: exit 3 with one line naming
+    the bound, not an OverflowError traceback."""
+    column = tmp_path / "column.csv"  # location 0's budget is 710
+    column.write_text("id,x_km,y_km,prior,eps\n"
+                      + "".join(f"{i},{i},0,1,{1 if i else 710}\n" for i in range(6)))
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"dataset = {line6_file}\neps_values = 1, 710\nem_values = 0\n"
+                      f"algorithms = hilbert\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n")
+    personal = ["--algorithm", "qk-personalized", "--eps", "1", "--em", "0"]
+    wtd = ["--idle", "3", "--tasks", "5"]
+    argv = {
+        "partition": ["partition", "--dataset", line6_file, "--eps", "710", "--em", "0.1"],
+        "wtd": ["wtd", "--dataset", line6_file, "--eps", "710", "--em", "0.1"] + wtd,
+        "column": ["partition", "--dataset", str(column)] + personal,
+        "column-wtd": ["wtd", "--dataset", str(column)] + personal + wtd,
+        "range": ["partition", "--dataset", line6_file, "--eps-range", "710,720"] + personal,
+        "range-wtd": ["wtd", "--dataset", line6_file, "--eps-range", "710,720"] + personal + wtd,
+        "range-synth": ["synth", "--n", "20", "--eps-range", "710,720",
+                        "--out", str(tmp_path / "x.csv")],
+        "sweep": ["sweep", "--config", str(config)],
+    }[route]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "e^eps finite (at most 709.78" in err
+
+
+def test_eps_at_the_bound_runs(line6_file, capsys):
+    """At eps = ln(float max) e^eps is finite and the commands run."""
+    bound = repr(math.log(sys.float_info.max))
+    assert main(["partition", "--dataset", line6_file, "--eps", bound, "--em", "0"]) == 0
+    assert main(["partition", "--dataset", line6_file, "--eps", bound, "--em", "0.1"]) == 2
+    assert "exp(eps)*em = 1.79769e+307 km" in capsys.readouterr().err
+    assert main(["wtd", "--dataset", line6_file, "--eps", bound, "--em", "0", "--idle", "3",
+                 "--tasks", "5"]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -410,6 +410,28 @@ def test_next_centers_match_mean():
         assert moved[r] == float(np.linalg.norm(want - centers[r], axis=1).max())
 
 
+def test_limits_are_the_last_x_a_comparison_holds_at():
+    """_limits gives the largest float x >= 0 with (scale * x) * factor <=
+    floor, on zero, subnormal, tiny, huge and infinite floors, at every
+    factor a fill record uses and at thresholds scales up to e^700."""
+    from locobf.domain import _margin
+
+    rng = np.random.default_rng(5)
+    floors = np.concatenate([[0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, 2.0 ** -900, 2.0 ** 900],
+                             rng.uniform(0.0, 10.0, 400), np.exp(rng.uniform(-600, 600, 400))])
+    scales = [1.0, *(math.exp(e) for e in np.linspace(0.5, 1.5, 11).tolist()), math.exp(700)]
+    ones = np.ones(len(floors) + 1)
+    for rtol in (_margin(30), _margin(3000)):
+        for factor in (1.0, 1.0 + rtol, 1.0 - rtol):
+            for scale in scales:
+                limit = qkmeans_mod._limits(np.append(floors, math.inf), scale * ones, factor * ones)
+                assert limit[-1] == math.inf
+                limit = limit[:-1]
+                assert (limit >= 0).all()
+                assert ((scale * limit) * factor <= floors).all()
+                assert (floors < (scale * np.nextafter(limit, math.inf)) * factor).all()
+
+
 def _ems_crossing(floor, scale, factor):
     """em values around the smallest em whose threshold scale * em * factor
     reaches floor: one ulp below it, it, and one ulp above."""
@@ -445,13 +467,12 @@ def test_fill_record_agrees_with_its_decisions(personalized, monkeypatch):
         dom = assign_personal_eps(dom, 0.5, 1.5, seed=1)
     search = qkmeans_mod._Search(dom, QkConfig(max_samp=3), personalized, None, keep=True)
     search.partition(PrivacyParams(1.0, 0.1))
-    rtol = search.rtol
     # then at thresholds on floors of the first search, which leaves those sets to the exact floor
-    (_, floor, scale, certified, _, _, _), _ = raw[0]
+    (_, floor, scale, certified, _, _, _, rtol), _ = raw[0]
     for t in np.flatnonzero(certified[:40]).tolist()[::8]:
         search.partition(PrivacyParams(1.0, _ems_crossing(floor[t], scale[t], 1.0)[1]))
     records, decisions = [], []  # per fill its record and its raw decisions with a floor
-    for (fill, *decided, count, _), kept in raw:
+    for (fill, *decided, count, _, _), kept in raw:
         assert len(kept) == count
         records += kept
         for r in range(count):

@@ -7,15 +7,16 @@ Each tree is a source checkout (a directory holding src/locobf); the
 default is the checkout this script lives in, labelled "current". The
 run is split into steps, one per size and a last one for the sweep
 layer; every step runs each tree twice, each time in a fresh
-interpreter with BLAS on one thread: first the trees in the order given,
-then in reverse (A B B A). A CPU that switches speed for a while inside
-a step then slows at most one of each tree's two runs of it, or both
-trees' runs alike. Each tree keeps both runs under "runs", and its
-"layers" holds, per layer and size, the entry of the run with the lower
-wall_s, whose "run" field says which (0 or 1). The file's meta records
-blas_threads and affinity_cores, the cores in the affinity mask that a
-one-thread-BLAS package may run its release-path blocks on (taskset
-limits them). The inputs are fixed:
+interpreter with BLAS on one thread: all trees once, then all again in
+the same order (A B A B), each step starting one tree later than the
+step before (B A B A next). A CPU that slows for a while inside a step
+then slows the trees' runs in turn rather than two runs of one tree in
+a row, and no tree always runs first. Each tree keeps both runs under
+"runs", and its "layers" holds, per layer and size, the entry of the
+run with the lower wall_s, whose "run" field says which (0 or 1). The
+file's meta records blas_threads and affinity_cores, the cores in the
+affinity mask that a one-thread-BLAS package may run its release-path
+blocks on (taskset limits them). The inputs are fixed:
 for n = 50, 200, 1000 and 3000, synth_domain(n, seed=[n, 0],
 grid_side=max(16, ceil(sqrt(2 n)))), partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
 synth_domain, best_hilbert_partition, build_matrix,
@@ -237,7 +238,8 @@ def main(argv=None):
         "blas_threads": 1,
         "affinity_cores": len(os.sched_getaffinity(0)),
         "tree_order": "one interpreter per tree and run of each step (each size, then the "
-                      "sweep); each step runs the trees in the order given, then in reverse; "
+                      "sweep); each step runs all trees twice in one order (A B A B), and "
+                      "step i starts from tree i mod the tree count (B A B A after A B A B); "
                       "layers keeps each tree's run with the lower wall_s",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
@@ -245,8 +247,9 @@ def main(argv=None):
     }
     for label, root in trees:
         report["trees"][label] = {"commit": _commit(root), "layers": {}, "runs": [{}, {}]}
-    for n in [*SIZES, "sweep"]:
-        for run, order in enumerate((trees, trees[::-1])):
+    for step, n in enumerate([*SIZES, "sweep"]):
+        order = trees[step % len(trees):] + trees[:step % len(trees)]
+        for run in (0, 1):
             for label, root in order:
                 layers = report["trees"][label]["runs"][run]
                 for layer, by_n in run_in_tree(root, "bench_layers", "run_layers", n).items():
