@@ -104,8 +104,8 @@ def _first_rows(table, target):
     """
     rows, n = table.shape
     first = np.full(n, rows)
-    # one bool block for every comparison: one per comparison made perfbench's
-    # release-large peak RSS jump between 241 and 287 MiB from run to run
+    # one bool block serves every comparison; a new one per comparison made
+    # perfbench's release-large peak RSS jump between 241 and 287 MiB by run
     hit = np.empty((_SCAN, n), dtype=bool)
     for lo in range(0, rows, _SCAN):
         block = np.equal(table[lo:lo + _SCAN], target, out=hit[:min(_SCAN, rows - lo)])
