@@ -18,6 +18,7 @@ from locobf import (
     synth_domain,
     weighted_avg_diameter,
 )
+from locobf.domain import _margin
 from reference_impls import (
     reference_assign_round,
     reference_feasible,
@@ -413,9 +414,7 @@ def test_next_centers_match_mean():
 def test_limits_are_the_last_x_a_comparison_holds_at():
     """_limits gives the largest float x >= 0 with (scale * x) * factor <=
     floor, on zero, subnormal, tiny, huge and infinite floors, at every
-    factor a fill record uses and at thresholds scales up to e^700."""
-    from locobf.domain import _margin
-
+    factor a fill record uses and at threshold scales up to e^700."""
     rng = np.random.default_rng(5)
     floors = np.concatenate([[0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, 2.0 ** -900, 2.0 ** 900],
                              rng.uniform(0.0, 10.0, 400), np.exp(rng.uniform(-600, 600, 400))])
