@@ -12,6 +12,8 @@ import sys
 from . import _csvio
 from .adversary import MetricsReport, compute_metrics, save_metrics
 from .domain import (
+    _EPS_MAX,
+    _EPS_RULE,
     DomainFormatError,
     InfeasibleParamsError,
     PrivacyParams,
@@ -61,15 +63,16 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _nonneg_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _order = _checked(int, lambda v: 0 <= v <= MAX_ORDER, f"between 0 and {MAX_ORDER}")
+_eps = _checked(float, lambda v: 0 < v <= _EPS_MAX, _EPS_RULE)
 
 
-def _float_pair(text):
+def _eps_pair(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated numbers")
     low, high = float(parts[0]), float(parts[1])
-    if not 0 < low <= high < math.inf:
-        raise argparse.ArgumentTypeError("need 0 < LO <= HI < inf")
+    if not 0 < low <= high <= _EPS_MAX:
+        raise argparse.ArgumentTypeError(f"need LO <= HI, both {_EPS_RULE}")
     return low, high
 
 
@@ -155,7 +158,7 @@ def build_parser():
     p.add_argument("--prior-low", type=_nonneg_float, default=0.01, dest="prior_low")
     p.add_argument("--prior-high", type=_nonneg_float, default=0.03, dest="prior_high")
     p.add_argument("--grid-side", type=_positive_int, default=16, dest="grid_side")
-    p.add_argument("--eps-range", type=_float_pair, default=None, dest="eps_range",
+    p.add_argument("--eps-range", type=_eps_pair, default=None, dest="eps_range",
                    help="add per-location budgets drawn uniformly from LO,HI")
     seeded(p)
     p.set_defaults(func=cmd_synth)
@@ -163,13 +166,13 @@ def build_parser():
     p = sub.add_parser("partition", help="partition a dataset into protection sets")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="hilbert")
-    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--eps", type=_eps, required=True)
     p.add_argument("--em", type=_nonneg_float, required=True)
     p.add_argument("--lam", type=_nonneg_float, default=0.5)
     p.add_argument("--order", type=_order, default=None, help="Hilbert grid order override")
     p.add_argument("--max-samp", type=_positive_int, default=10, dest="max_samp")
     p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
-    p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
+    p.add_argument("--eps-range", type=_eps_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range",
                    help="budgets drawn for qk-personalized when the dataset has none")
     seeded(p)
@@ -193,12 +196,12 @@ def build_parser():
     p = sub.add_parser("wtd", help="worker travel distance simulation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="hilbert")
-    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--eps", type=_eps, required=True)
     p.add_argument("--em", type=_nonneg_float, required=True)
     p.add_argument("--lam", type=_nonneg_float, default=0.5)
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--idle", type=_checked(int, lambda v: v >= 3, ">= 3"), default=30)
-    p.add_argument("--eps-range", type=_float_pair, default=_DEFAULT_EPS_RANGE,
+    p.add_argument("--eps-range", type=_eps_pair, default=_DEFAULT_EPS_RANGE,
                    dest="eps_range")
     seeded(p)
     p.set_defaults(func=cmd_wtd)

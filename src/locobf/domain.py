@@ -67,13 +67,17 @@ class InfeasibleParamsError(ValueError):
 # the variables that set the BLAS thread count; the first one set decides
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _pool = None  # ((pid, threads), executor) of the block runner, made on first use
+_job_process = False  # set in a sweep's worker processes (see experiment._run_jobs)
 
 
 def _workers():
-    """Threads for independent blocks: every core of the affinity mask when
-    BLAS is pinned to one thread, else one. A BLAS that may use several
-    threads spreads its products over the cores itself, and block threads
-    beside it would oversubscribe them."""
+    """Threads or processes for independent work: every core of the
+    affinity mask when BLAS is pinned to one thread, else one. A BLAS that
+    may use several threads spreads its products over the cores itself,
+    and workers beside it would oversubscribe them. A sweep's worker
+    process gets one, since its sibling processes use the other cores."""
+    if _job_process:
+        return 1
     value = next((os.environ[v] for v in _BLAS_VARS if os.environ.get(v)), None)
     if value is None or value.strip() != "1":
         return 1
@@ -136,6 +140,15 @@ def _run_blocks(fn, spans, scratch=None):
         future.exception()  # waits, so no block outlives the call
     for future in futures:
         future.result()
+
+
+def _close_pool():
+    """Stop the block runner's threads, so that none is alive at a fork;
+    the next _run_blocks that needs them makes new ones."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
 # rows per block of the distance fill, and the side of its mirrored tiles

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _csvio
+from . import domain as _domain
 from .adversary import compute_metrics
 from .domain import (
     _EPS_MAX,
@@ -152,6 +153,14 @@ def run_wtd(domain, algorithm, params, seed, tasks=100, idle=30,
     return private, nonprivate
 
 
+# what every value of a sweep config's numeric lists must be; NaN fails each test
+_VALUE_RULES = {
+    "eps_values": (lambda eps: 0 < eps <= _EPS_MAX, _EPS_RULE),
+    "em_values": (lambda em: 0 <= em < math.inf, "finite and >= 0"),
+    "seeds": (lambda seed: seed >= 0, ">= 0"),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of sweep cells plus where to put the result files."""
@@ -175,12 +184,9 @@ class SweepConfig:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
         # checked up front: cells that share a result never build their own params
-        if not all(0 < eps <= _EPS_MAX for eps in self.eps_values):
-            raise ValueError(f"eps_values must be {_EPS_RULE}")
-        if not all(0 <= em < math.inf for em in self.em_values):
-            raise ValueError("em_values must be finite and >= 0")
-        if not all(seed >= 0 for seed in self.seeds):
-            raise ValueError("seeds must be >= 0")
+        for field, (ok, rule) in _VALUE_RULES.items():
+            if not all(map(ok, getattr(self, field))):
+                raise ValueError(f"{field} must be {rule}")
 
 
 def parse_sweep_config(source):
@@ -217,11 +223,15 @@ def parse_sweep_config(source):
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
     def listed(key, cast):
+        ok, rule = _VALUE_RULES.get(key, (None, None))
+
         def parse(text):
             items = tuple(cast(v) for v in text.split(","))
             for i, item in enumerate(items):
                 if item in items[:i]:  # numerically: 1 repeats 1.0
                     raise ValueError(f"repeated value {item!r}")
+                if ok is not None and not ok(item):
+                    raise ValueError(f"value {item!r} must be {rule}")
             return items
         return parsed(key, parse)
 
@@ -254,10 +264,22 @@ def _parse_synth_spec(spec):
     return kwargs
 
 
-def _resolve_domain(dataset, seed):
-    if dataset.startswith("synth:"):
-        return synth_domain(seed=seed, **_parse_synth_spec(dataset))
-    return load_domain(dataset)
+def _sweep_domains(dataset, seeds):
+    """seed -> the domain its cells run on; a dataset file is read once for
+    all seeds. A synth domain that fails to build (its distances can
+    overflow for some seeds only) maps to its error, and no later seed
+    is listed."""
+    if not dataset.startswith("synth:"):
+        return dict.fromkeys(seeds, load_domain(dataset))
+    spec = _parse_synth_spec(dataset)
+    domains = {}
+    for seed in seeds:
+        try:
+            domains[seed] = synth_domain(seed=seed, **spec)
+        except ValueError as exc:  # run_sweep raises it in the seed's turn
+            domains[seed] = exc
+            break
+    return domains
 
 
 def _run_cell(domain, algorithm, eps, em, search, walks):
@@ -298,22 +320,17 @@ def aggregate_cells(cells):
     return long_rows, tables
 
 
-def run_sweep(config, output_dir=None):
-    """Run every (algorithm, eps, em, seed) cell and write the result CSVs.
+def _run_job(config, seed, algorithms, base):
+    """The values of one job's cells in config order, each a _run_cell
+    result, followed by the error that stopped the job, if one did.
 
-    Cells that must give the same result are computed once: hilbert and
-    em-baseline cells of one seed share their curve walk, and
-    qk-personalized cells that differ only in eps share everything,
-    because per-location budgets replace eps there. The qk cells of one
-    seed and algorithm share one search, which replays a fill of an
-    earlier cell whenever its admission answers come out the same.
+    The job's cells share its caches: a curve walk per params between
+    the hilbert and em-baseline cells, and one search per qk algorithm.
     """
-    out_dir = Path(output_dir or config.output_dir)
-    cells = []
-    for seed in config.seeds:
-        base = _resolve_domain(config.dataset, seed)
-        walks = {}
-        for algorithm in config.algorithms:
+    values = []
+    walks = {}
+    try:
+        for algorithm in algorithms:
             domain = base
             personalized = algorithm == "qk-personalized"
             if personalized:
@@ -325,7 +342,87 @@ def run_sweep(config, output_dir=None):
                     key = em if personalized else (eps, em)
                     if key not in done:
                         done[key] = _run_cell(domain, algorithm, eps, em, search, walks)
-                    cells.append((algorithm, eps, em, seed, done[key]))
+                    values.append(done[key])
+    except Exception as exc:  # raised by run_sweep where the cell order reaches it
+        values.append(exc)
+    return values
+
+
+_jobs = None  # in a sweep's worker process: the jobs it inherited at fork
+
+
+def _start_job_process(jobs):
+    """Initializer of a sweep's worker processes. They share the cores, so
+    their blocks run inline."""
+    global _jobs
+    _jobs = jobs
+    _domain._job_process = True
+
+
+def _run_job_at(index):
+    return _run_job(*_jobs[index])
+
+
+def _run_jobs(jobs):
+    """[_run_job(*job) for job in jobs], on a pool of _workers() processes
+    when there are several workers and jobs and the platform can fork.
+
+    The workers are forked after the jobs are made, so they inherit the
+    domains: only job indices and cell values cross between processes.
+    The block runner's threads are stopped before the fork, and every
+    worker has exited when this returns or raises.
+    """
+    processes = min(_domain._workers(), len(jobs))
+    if processes > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            _domain._close_pool()
+            with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                     _start_job_process, (jobs,)) as pool:
+                return list(pool.map(_run_job_at, range(len(jobs))))
+    return [_run_job(*job) for job in jobs]
+
+
+def run_sweep(config, output_dir=None):
+    """Run every (algorithm, eps, em, seed) cell and write the result CSVs.
+
+    Cells that must give the same result are computed once: hilbert and
+    em-baseline cells of one seed share their curve walk, and
+    qk-personalized cells that differ only in eps share everything,
+    because per-location budgets replace eps there. The qk cells of one
+    seed and algorithm share one search, which replays a fill of an
+    earlier cell whenever its admission answers come out the same.
+
+    Cells that share nothing run as separate jobs, on every core when
+    BLAS is pinned to one thread (see _run_jobs): per seed, one job for
+    the hilbert and em-baseline cells and one per qk algorithm. The
+    result files do not depend on how the jobs ran, and a cell that
+    raises raises here as it would have in the cell-by-cell order.
+    """
+    out_dir = Path(output_dir or config.output_dir)
+    domains = _sweep_domains(config.dataset, config.seeds)
+    walked = tuple(a for a in config.algorithms if a in ("hilbert", "em-baseline"))
+    groups = ([walked] if walked else []) + [(a,) for a in config.algorithms if a not in walked]
+    jobs = [(config, seed, group, domain) for seed, domain in domains.items()
+            if not isinstance(domain, Exception) for group in groups]
+    streams = {}  # (seed, algorithm) -> its job's values
+    for (_, seed, algorithms, _), values in zip(jobs, _run_jobs(jobs)):
+        stream = iter(values)
+        streams.update({(seed, algorithm): stream for algorithm in algorithms})
+    cells = []
+    for seed in config.seeds:
+        if isinstance(domains[seed], Exception):
+            raise domains[seed]
+        for algorithm in config.algorithms:
+            for eps in config.eps_values:
+                for em in config.em_values:
+                    values = next(streams[seed, algorithm])
+                    if isinstance(values, Exception):
+                        raise values
+                    cells.append((algorithm, eps, em, seed, values))
     long_rows, tables = aggregate_cells(cells)
     out_dir.mkdir(parents=True, exist_ok=True)
     _csvio.write(out_dir / "results.csv",

@@ -233,6 +233,11 @@ _SWEEP_BASE = (
         (_SWEEP_BASE.replace("= hilbert", "= hilbert, qk,hilbert"),
          "line 4: algorithms: repeated value"),
         (_SWEEP_BASE.replace("seeds = 1", "seeds = 3, 3"), "line 5: seeds: repeated value"),
+        (_SWEEP_BASE.replace("eps_values = 0.5", "eps_values = 1, 710"),
+         r"line 2: eps_values: value 710.0 must be finite and > 0 with e\^eps finite"),
+        (_SWEEP_BASE.replace("em_values = 0.05", "em_values = 0.05, inf"),
+         "line 3: em_values: value inf must be finite and >= 0"),
+        (_SWEEP_BASE.replace("seeds = 1", "seeds = 1, -2"), "line 5: seeds: value -2 must be >= 0"),
     ],
 )
 def test_parse_sweep_config_errors(text, fragment):
@@ -293,6 +298,8 @@ def test_run_sweep_computes_shared_cells_once(tmp_path, monkeypatch):
     qk-personalized cells that differ only in eps are one computation."""
     import locobf.experiment as experiment
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one worker: calls count here
+
     def logged(log, fn):
         def wrapper(*args, **kwargs):
             log.append(args[1])
@@ -339,6 +346,7 @@ def test_sweep_cells_share_qk_fills(tmp_path, monkeypatch, algorithm, weighted):
     import locobf.experiment as experiment
     import locobf.qkmeans as qkmeans
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one worker: calls count here
     agreed = []
     cells = []  # (search, params, partition) per computed cell
 
@@ -575,12 +583,16 @@ def test_wtd_bad_values_are_usage_errors(line6_file, capsys, flag, value):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("route", ["partition", "wtd", "column", "column-wtd", "range",
-                                   "range-wtd", "range-synth", "sweep"])
-def test_an_eps_whose_exp_overflows_exits_3(tmp_path, line6_file, capsys, route):
-    """eps = 710, where math.exp overflows, from a flag, a dataset's eps
-    column, --eps-range or a sweep config: exit 3 with one line naming
-    the bound, not an OverflowError traceback."""
+@pytest.mark.parametrize("route, code", [
+    ("partition", 1), ("wtd", 1), ("range", 1), ("range-wtd", 1), ("range-synth", 1),
+    ("column", 3), ("column-wtd", 3), ("sweep", 3),
+])
+def test_an_eps_whose_exp_overflows_is_one_error_line(tmp_path, line6_file, capsys, route,
+                                                      code):
+    """eps = 710, where math.exp overflows: from --eps or --eps-range a
+    usage error (exit 1), from a dataset's eps column or a sweep config
+    bad input (exit 3); either way one line naming the bound, not an
+    OverflowError traceback."""
     column = tmp_path / "column.csv"  # location 0's budget is 710
     column.write_text("id,x_km,y_km,prior,eps\n"
                       + "".join(f"{i},{i},0,1,{1 if i else 710}\n" for i in range(6)))
@@ -600,9 +612,10 @@ def test_an_eps_whose_exp_overflows_exits_3(tmp_path, line6_file, capsys, route)
                         "--out", str(tmp_path / "x.csv")],
         "sweep": ["sweep", "--config", str(config)],
     }[route]
-    assert main(argv) == 3
+    assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("usage error: " if code == 1 else "error: "), err
+    assert err.count("\n") == 1, err
     assert "e^eps finite (at most 709.78" in err
 
 

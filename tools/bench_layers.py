@@ -34,7 +34,11 @@ search and the assign_round calls that made them (the lockstep steps,
 where restarts are filled together). The sweep layer is end to end:
 run_sweep on the README's sweep config at config seed 1 (n = 50, eps
 0.5/1/2, em 0.05/0.1, all four algorithms), the input of perfbench's
-readme-sweep, with the same fill counts over the whole sweep.
+readme-sweep, its jobs on one process per affinity core. sweep/serial
+runs the same sweep with the worker count held at one, all jobs in the
+measuring process, and counts the fills over the whole sweep: calls
+made in worker processes would not reach the counter. The pooled
+layer's peak_mib is the measuring process's alone.
 
 A layer's wall_s is the median of its untraced calls: at least five,
 and more until they add up to half a second, so fast layers at small n
@@ -45,6 +49,7 @@ peak in units of one n x n float64 array.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -120,7 +125,9 @@ def run_layers(n):
             def sweep():
                 return lb.run_sweep(lb.parse_sweep_config(config))
 
-            record("sweep", SWEEP_N, sweep, lambda wall: _count_fills(sweep))
+            record("sweep", SWEEP_N, sweep)
+            with _one_worker():
+                record("sweep/serial", SWEEP_N, sweep, lambda wall: _count_fills(sweep))
         return layers
     side = max(16, math.ceil(math.sqrt(2 * n)))
     dom = record("synth_domain", n, lambda: lb.synth_domain(n, seed=[n, 0], grid_side=side))
@@ -161,6 +168,18 @@ def run_layers(n):
 
         record(layer, n, search, lambda wall: _count_fills(search))
     return layers
+
+
+@contextlib.contextmanager
+def _one_worker():
+    """The package's worker count held at one: it counts the cores of the
+    affinity mask (see locobf.domain._workers)."""
+    real = os.sched_getaffinity
+    os.sched_getaffinity = lambda pid: set(sorted(real(pid))[:1])
+    try:
+        yield
+    finally:
+        os.sched_getaffinity = real
 
 
 def _count_fills(search):
