@@ -63,6 +63,10 @@ class InfeasibleParamsError(ValueError):
             f"(eps={self.eps:.6g}, em={self.em:.6g})"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds the error from its three fields, not from its message
+        return type(self), (self.eps, self.em, self.domain_floor)
+
 
 # the variables that set the BLAS thread count; the first one set decides
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -359,8 +363,8 @@ def satisfies_error_bound(domain, members, eps_region, em):
     comparison is exact floating point; no slack is added on either side.
     A set of zero prior mass has no floor and never passes.
     """
-    if not eps_region > 0:
-        raise ValueError("eps_region must be > 0")
+    if not 0 < eps_region <= _EPS_MAX:
+        raise ValueError(f"eps_region must be {_EPS_RULE}")
     if em < 0:
         raise ValueError("em must be >= 0")
     floor = _floor_or_none(domain, members)

@@ -13,6 +13,8 @@ import numpy as np
 
 from . import _csvio
 from .domain import (
+    _EPS_MAX,
+    _EPS_RULE,
     InfeasibleParamsError,
     PrivacyParams,
     _admits,
@@ -51,8 +53,8 @@ class Pls:
             raise ValueError("a protection set needs at least 2 members")
         if len(set(members)) < len(members):
             raise ValueError("a protection set lists a location twice")
-        if not 0 < eps_region < math.inf:
-            raise ValueError("eps_region must be finite and > 0")
+        if not 0 < eps_region <= _EPS_MAX:
+            raise ValueError(f"eps_region must be {_EPS_RULE}")
         if members[0] < 0 or members[-1] >= domain.n:
             bad = members[0] if members[0] < 0 else members[-1]
             raise ValueError(f"unknown location id {bad}")

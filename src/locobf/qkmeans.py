@@ -23,10 +23,6 @@ __all__ = ["QkConfig", "eps_weight", "seed_centers", "assign_round", "qk_partiti
 
 # centers that all move less than this (km) have converged
 _CENTER_TOL = 1e-6
-# floats of leftover rows (n each) per batch of the leftover phase, whose
-# stack holds a few such rows per leftover: a batch of fills holds at most
-# this many plus its last fill's, however many restarts are filled together
-_LEFTOVER_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,12 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
 
     centers of shape (k, 2) make one fill; a stack of shape (R, k, 2)
     makes R independent fills and returns a list of R such pairs, each
-    equal to its own single call. answers, when a list, receives per
-    fill the admission answers it gave, reduced by _answers to what can
-    change them, so that the fill can be replayed under other parameters.
+    equal to its own single call. The first phase runs fill by fill; the
+    leftover phase runs all R fills at once, walking their joins one
+    level at a time (see _place_leftovers). answers, when a list,
+    receives per fill the admission answers it gave, reduced by _answers
+    to what can change them, so that the fill can be replayed under
+    other parameters.
     """
     weighted = _weighting(domain, personalized, weighted)
     centers = np.asarray(centers, dtype=float)
@@ -139,26 +138,15 @@ def assign_round(domain, centers, params, personalized=False, weighted=None, ans
     # the decisions of every fill: phase 1's per fill, the leftover phase's as arrays
     logs = None if answers is None else [[] for _ in range(fills)]
     later = []
-
-    def record_later(lo):
-        return None if logs is None else lambda d: later.append((d[0] + lo, *d[1:]))
-
     members, mass, cluster_eps, closed = zip(*(
         _join_nearest(domain, b, table, s, a, params, prior_of, eps_of, mismatch,
                       None if logs is None else logs[r])
         for r, (b, s, a) in enumerate(zip(base, sums, assigned))
     ))
     budgets = domain.personal_eps if personalized else np.full(n, params.eps)
-    mass, cluster_eps = np.array(mass), np.array(cluster_eps)
-    # fills go through the leftover phase in batches of about _LEFTOVER_FLOATS
-    left = (~assigned).sum(axis=1)
-    batch = (np.cumsum(left) - left) * n // _LEFTOVER_FLOATS
-    cuts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist() + [fills]
-    placed = np.concatenate([
-        _place_leftovers(domain, base[lo:hi], table, members[lo:hi], sums[lo:hi], mass[lo:hi],
-                         cluster_eps[lo:hi], assigned[lo:hi], budgets, params.em, record_later(lo))
-        for lo, hi in zip(cuts, cuts[1:])
-    ])
+    placed = _place_leftovers(domain, base, table, members, sums, np.array(mass),
+                              np.array(cluster_eps), assigned, budgets, params.em,
+                              None if logs is None else later.append)
     if answers is not None:
         first = np.array([d for log in logs for d in log]).reshape(-1, 4).T
         later.append((np.repeat(np.arange(fills), [len(log) for log in logs]), *first))
@@ -213,19 +201,21 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     Leftovers remain only once every cluster of their fill is closed;
     they go by plain distance, the budget weight only steers the first
     phase. Nearly every leftover joins the first cluster it tries, so
-    each pass assumes that all of them do: per (fill, cluster) group the
-    running sums, masses and budgets of those joins are prefix sums along
-    the leading axis of a (depth + 1, groups, n) stack, summed in join
-    order as one join at a time sums them. Every fill keeps its leading
-    run of admitted joins; its first refused leftover stays at the head
-    of its queue and tries its next-nearest cluster in the next pass, and
-    after k refusals it stays out and the fill is incomplete. The
-    members, the (fills, k, n) sums and the (fills, k) masses and budgets
-    are updated in place; assigned marks the first phase's placements.
-    record, when given, is called once per pass with the decisions the
-    joins depend on, the taken ones and each refusal that ends them: the
-    tuple (fill, floor, scale, certified, answer) of arrays, floor to
-    answer as domain._admits gives them.
+    each pass assumes that all of them do, and walks their joins one
+    level at a time over one (groups, n) array of running sums, a row
+    per (fill, cluster) group: level t adds each group's t-th leftover
+    row, the same float additions in the same order as one join at a
+    time, and keeps that join's smallest sum. Masses and budgets run
+    along the leading axis of small (depth + 1, groups) arrays. Every
+    fill keeps its leading run of admitted joins; its first refused
+    leftover stays at the head of its queue and tries its next-nearest
+    cluster in the next pass, and after k refusals it stays out and the
+    fill is incomplete. The members, the (fills, k, n) sums and the
+    (fills, k) masses and budgets are updated in place; assigned marks
+    the first phase's placements. record, when given, is called once per
+    pass with the decisions the joins depend on, the taken ones and each
+    refusal that ends them: the tuple (fill, floor, scale, certified,
+    answer) of arrays, floor to answer as domain._admits gives them.
     """
     fills, n, k = base.shape
     sums = sums.reshape(fills * k, n)
@@ -239,7 +229,8 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
     tries = np.zeros_like(rr)  # clusters that refused each leftover so far
     while len(rr):
         group = rr * k + nearest
-        by_group = np.argsort(group, kind="stable")
+        # the entries by group, larger groups first, so a level's groups lead
+        by_group = np.lexsort((group, -np.bincount(group)[group]))
         heads = np.flatnonzero(np.diff(group[by_group], prepend=-1))
         sizes = np.diff(heads, append=len(group))
         groups = group[by_group[heads]]
@@ -247,11 +238,14 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
         col[by_group] = np.repeat(np.arange(len(groups)), sizes)
         depth = np.empty_like(group)  # 1 for a group's first leftover, 2 for its second, ...
         depth[by_group] = np.arange(len(group)) - np.repeat(heads, sizes) + 1
-        run_sums = np.zeros((sizes.max() + 1, len(groups), n))
-        run_sums[0] = sums[groups]
-        run_sums[depth, col] = table[ii]
-        np.cumsum(run_sums, axis=0, out=run_sums)
-        run_mass = np.zeros((len(run_sums), len(groups)))
+        run = sums[groups]
+        low = np.empty(len(group))  # each entry's smallest sum after its join
+        for t in range(sizes[0]):
+            live = np.count_nonzero(sizes > t)
+            entry = by_group[heads[:live] + t]
+            run[:live] += table[ii[entry]]
+            low[entry] = run[:live].min(axis=1)
+        run_mass = np.zeros((sizes[0] + 1, len(groups)))
         run_mass[0] = mass[groups]
         run_mass[depth, col] = domain.priors[ii]
         np.cumsum(run_mass, axis=0, out=run_mass)
@@ -266,9 +260,8 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
             return members[rr[t]][nearest[t]] + joined.tolist()
 
         decided = []
-        admitted = _admits(domain, trial_members, run_sums.min(axis=2)[depth, col],
-                           run_mass[depth, col], run_eps[depth, col], em,
-                           None if record is None else decided.extend)
+        admitted = _admits(domain, trial_members, low, run_mass[depth, col], run_eps[depth, col],
+                           em, None if record is None else decided.extend)
         # each fill's entries are contiguous; cut is its first refused one, or its end
         starts = np.flatnonzero(np.diff(rr, prepend=-1))
         ends = np.append(starts[1:], len(rr))
@@ -281,11 +274,15 @@ def _place_leftovers(domain, base, table, members, sums, mass, cluster_eps, assi
             record((rr[used], *(a[used] for a in decided)))
         for r, j, i in zip(rr[taken].tolist(), nearest[taken].tolist(), ii[taken].tolist()):
             members[r][j].append(i)
-        # a group's taken joins lead its entries, so its state is the prefix sum after them
-        last = np.bincount(col[taken], minlength=len(groups)), np.arange(len(groups))
-        sums[groups] = run_sums[last]
-        mass[groups] = run_mass[last]
-        cluster_eps[groups] = run_eps[last]
+        # a group's taken joins lead its entries, so its state is the one after them
+        joins = np.bincount(col[taken], minlength=len(groups))
+        mass[groups] = run_mass[joins, np.arange(len(groups))]
+        cluster_eps[groups] = run_eps[joins, np.arange(len(groups))]
+        whole = joins == sizes
+        sums[groups[whole]] = run[whole]
+        for c in np.flatnonzero(~whole).tolist():  # cut short: sum its taken joins again
+            for i in ii[by_group[heads[c]:heads[c] + joins[c]]].tolist():
+                sums[groups[c]] += table[i]
         stuck = cut[cut < ends]
         if not len(stuck):  # every fill took all its leftovers
             break

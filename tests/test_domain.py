@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from locobf import (
     InfeasibleParamsError,
     LocationDomain,
     PrivacyParams,
+    Pls,
     assign_personal_eps,
     diameter,
     load_domain,
@@ -368,8 +370,22 @@ def test_eps_bound_is_the_last_eps_whose_exp_is_finite():
     assert load_domain(io.StringIO(text.format(repr(bound)))).personal_eps[1] == bound
     with pytest.raises(DomainFormatError, match=r"^line 3: eps must be .* e\^eps finite"):
         load_domain(io.StringIO(text.format(repr(above))))
+    assert satisfies_error_bound(uniform, [0, 1], bound, 0.0)
+    with pytest.raises(ValueError, match=r"^eps_region must be .* e\^eps finite"):
+        satisfies_error_bound(uniform, [0, 1], above, 0.1)
+    assert Pls.build(uniform, [0, 1], bound).eps_region == bound
+    with pytest.raises(ValueError, match=r"^eps_region must be .* e\^eps finite"):
+        Pls.build(uniform, [0, 1], above)
     # the error's message reports the overflowing threshold instead of raising
     assert "exp(eps)*em = inf km" in str(InfeasibleParamsError(710, 0.1, 1.0))
+
+
+def test_infeasible_params_error_survives_pickling():
+    error = InfeasibleParamsError(1.0, 0.1, 0.05)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is InfeasibleParamsError
+    assert (copy.eps, copy.em, copy.domain_floor) == (1.0, 0.1, 0.05)
+    assert str(copy) == str(error)
 
 
 def test_load_domain_roundtrip(tmp_path):

@@ -364,21 +364,20 @@ def test_search_k_matches_serial(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-@pytest.mark.parametrize("batch", [None, 1000])
 @pytest.mark.parametrize("mode", sorted(_MODES))
-def test_assign_round_stack_matches_single_fills(mode, batch, monkeypatch):
-    """A stack of fills equals its single fills, also when the leftover
-    phase takes the fills a few at a time."""
-    if batch is not None:
-        monkeypatch.setattr(qkmeans_mod, "_LEFTOVER_FLOATS", batch)
+def test_assign_round_stack_matches_single_fills(mode):
+    """A stack of fills equals its single fills, also on a last domain
+    whose few clusters each take dozens of leftovers in one pass."""
     personalized, weighted = _MODES[mode]
     rng = np.random.default_rng(96)
-    for s in range(6):
-        dom = synth_domain(int(rng.integers(12, 41)), seed=9100 + s)
+    for s in range(7):
+        deep = s == 6
+        n = 300 if deep else int(rng.integers(12, 41))
+        dom = synth_domain(n, seed=9100 + s, grid_side=25 if deep else 16)
         if personalized:
             dom = assign_personal_eps(dom, 0.5, 1.5, seed=s)
         params = PrivacyParams(1.0, float(rng.choice([0.05, 0.1])))
-        k = int(rng.integers(1, dom.n // 2 + 1))
+        k = 3 if deep else int(rng.integers(1, dom.n // 2 + 1))
         stack = np.array([seed_centers(dom, k, rng) for _ in range(5)])
         got = assign_round(dom, stack, params, personalized, weighted)
         assert got == [serial_assign_round(dom, c, params, personalized, weighted) for c in stack]

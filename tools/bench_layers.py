@@ -17,7 +17,7 @@ run with the lower wall_s, whose "run" field says which (0 or 1). The
 file's meta records blas_threads and affinity_cores, the cores in the
 affinity mask that a one-thread-BLAS package may run its release-path
 blocks on (taskset limits them). The inputs are fixed:
-for n = 50, 200, 1000 and 3000, synth_domain(n, seed=[n, 0],
+for n = 50, 200, 400, 1000 and 3000, synth_domain(n, seed=[n, 0],
 grid_side=max(16, ceil(sqrt(2 n)))), partitioned by best_hilbert_partition at eps=1, em=0.1. The layers are
 synth_domain, best_hilbert_partition, build_matrix,
 build_matrix_constant (at the largest set diameter), compute_metrics
@@ -25,8 +25,8 @@ build_matrix_constant (at the largest set diameter), compute_metrics
 [n, 1]) and worker_travel_distance (five rounds of min(300, n) idle workers and 1000 tasks uniform over the
 domain's bounding box, seeds [n, 2] and [n, 3, round]). Both draw layers
 reuse one matrix across the timed calls, as a server does, so after the
-first call they read row CDFs the matrix already keeps. For n = 50 and
-200 the qk_partition layer runs the default QkConfig() search on the
+first call they read row CDFs the matrix already keeps. For n = 50, 200
+and 400 the qk_partition layer runs the default QkConfig() search on the
 same domain at the same eps and em, uniform and (as
 qk_partition/personalized) on budgets from assign_personal_eps(..., 0.5,
 1.5, seed=n); besides its time and peak it counts the fills of one
@@ -63,8 +63,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (50, 200, 1000, 3000)
-QK_SIZES = (50, 200)
+SIZES = (50, 200, 400, 1000, 3000)
+QK_SIZES = (50, 200, 400)
 EPS, EM = 1.0, 0.1
 DRAWS = 2000  # single-user sample_pseudo calls per timed run
 WTD_TASKS, WTD_IDLE, WTD_ROUNDS = 1000, 300, 5  # worker_travel_distance rounds per timed run
