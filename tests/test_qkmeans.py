@@ -367,7 +367,7 @@ def test_search_k_matches_serial(monkeypatch):
 @pytest.mark.parametrize("mode", sorted(_MODES))
 def test_assign_round_stack_matches_single_fills(mode):
     """A stack of fills equals its single fills, also on a last domain
-    whose few clusters each take dozens of leftovers in one pass."""
+    whose three clusters take hundreds of leftovers in one pass."""
     personalized, weighted = _MODES[mode]
     rng = np.random.default_rng(96)
     for s in range(7):
