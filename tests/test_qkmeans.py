@@ -364,14 +364,14 @@ def test_search_k_matches_serial(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("deep", [False, True], ids=["small", "deep"])
 @pytest.mark.parametrize("mode", sorted(_MODES))
-def test_assign_round_stack_matches_single_fills(mode):
-    """A stack of fills equals its single fills, also on a last domain
-    whose three clusters take hundreds of leftovers in one pass."""
+def test_assign_round_stack_matches_single_fills(mode, deep):
+    """A stack of fills equals its single fills, on small domains and on a
+    deep one whose three clusters take hundreds of leftovers in one pass."""
     personalized, weighted = _MODES[mode]
     rng = np.random.default_rng(96)
-    for s in range(7):
-        deep = s == 6
+    for s in [6] if deep else range(6):
         n = 300 if deep else int(rng.integers(12, 41))
         dom = synth_domain(n, seed=9100 + s, grid_side=25 if deep else 16)
         if personalized:
